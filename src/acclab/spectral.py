@@ -17,6 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigh
+from scipy.special import jv, jvp
 
 from .geometry import RadialOperator, WarpFamily, indicial_roots
 
@@ -113,11 +114,20 @@ class ModeSolution:
     mass: np.ndarray = None  # node quadrature weights of the w-inner product
 
     def interp(self, x) -> np.ndarray:
-        """Eigenfunction values at arbitrary points, one column per mode."""
+        """Eigenfunction values at points of the domain, one column per mode.
+
+        Piecewise linear with np.interp's formula, all columns at once;
+        points outside [xs[0], xs[-1]] raise ValueError.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty((len(x), self.u.shape[1]))
-        for j in range(self.u.shape[1]):
-            out[:, j] = np.interp(x, self.xs, self.u[:, j])
+        xs, u = self.xs, self.u
+        if not np.all((x >= xs[0]) & (x <= xs[-1])):
+            raise ValueError(f"interpolation points outside the domain "
+                             f"[{xs[0]}, {xs[-1]}]")
+        j = np.minimum(np.searchsorted(xs, x, side="right") - 1, len(xs) - 2)
+        slope = (u[j + 1] - u[j]) / (xs[j + 1] - xs[j])[:, None]
+        out = slope * (x - xs[j])[:, None] + u[j]
+        out[x == xs[-1]] = u[-1]
         return out
 
 
@@ -132,7 +142,7 @@ def solve_mode(op: RadialOperator, grid: SLGrid, count: int,
     if count > grid.n // 4:
         raise SolverError("count > N/4: refine the grid")
 
-    def solve_on(g: SLGrid):
+    def solve_on(g: SLGrid, vectors: bool = True):
         lo, hi = op.domain()
         xs = g.nodes(lo, hi)
         ptil, qtil, wtil = op.substituted_coefficients()
@@ -146,6 +156,9 @@ def solve_mode(op: RadialOperator, grid: SLGrid, count: int,
         d = 1.0 / np.sqrt(mass)
         bd = diag * d * d
         bo = off * d[:-1] * d[1:]
+        if not vectors:
+            return eigh_tridiagonal(bd, bo, eigvals_only=True, select="i",
+                                    select_range=(0, count - 1))
         lam, vec = eigh_tridiagonal(bd, bo, select="i",
                                     select_range=(0, count - 1))
         v = vec * d[:, None]
@@ -163,7 +176,7 @@ def solve_mode(op: RadialOperator, grid: SLGrid, count: int,
 
     xs2, lam2, u2, mass2 = solve_on(grid.refined())
     if richardson:
-        _, lam1, _, _ = solve_on(grid)
+        lam1 = solve_on(grid, vectors=False)
         err = np.abs(lam2 - lam1) / 3.0
         lam = lam2 + (lam2 - lam1) / 3.0
     else:
@@ -178,12 +191,39 @@ def solve_mode(op: RadialOperator, grid: SLGrid, count: int,
 # Bessel-zero references
 # ---------------------------------------------------------------------------
 
+_ZERO_SCAN_STEP = 0.25  # below the spacing of consecutive zeros of J_nu
+_ZERO_BISECTIONS = 12   # bracket width 0.25 / 2^12 before Newton
+_ZERO_NEWTON_STEPS = 4  # quadratic from there; the last steps sit at rounding
+
+
 @lru_cache(maxsize=None)
 def bessel_j_zeros(nu: float, count: int) -> Tuple[float, ...]:
-    """First `count` positive zeros of J_nu, high-precision backend."""
-    import mpmath
-    return tuple(float(mpmath.besseljzero(mpmath.mpf(nu), k))
-                 for k in range(1, count + 1))
+    """First `count` positive zeros of J_nu (nu >= 0), to a few ulp.
+
+    A sign-change scan of J_nu on a 0.25 step from 0, widened until `count`
+    brackets exist, then a vectorized bisection and Newton polish of all
+    brackets at once.
+    """
+    if nu < 0:
+        raise ValueError(f"order must be nonnegative, got {nu}")
+    # McMahon: j_{nu,k} ~ (k + nu/2 - 1/4) pi, from below for nu > 1/2
+    hi = (count + 0.5 * nu + 1.0) * math.pi
+    while True:
+        xs = _ZERO_SCAN_STEP * np.arange(1, int(hi / _ZERO_SCAN_STEP) + 2)
+        neg = np.signbit(jv(nu, xs))
+        idx = np.flatnonzero(neg[:-1] != neg[1:])[:count]
+        if len(idx) == count:
+            break
+        hi *= 2.0
+    a, b, a_neg = xs[idx], xs[idx + 1], neg[idx]
+    for _ in range(_ZERO_BISECTIONS):
+        m = 0.5 * (a + b)
+        left = np.signbit(jv(nu, m)) != a_neg
+        a, b = np.where(left, a, m), np.where(left, m, b)
+    z = 0.5 * (a + b)
+    for _ in range(_ZERO_NEWTON_STEPS):
+        z = z - jv(nu, z) / jvp(nu, z)
+    return tuple(z.tolist())
 
 
 @dataclass

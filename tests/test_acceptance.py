@@ -219,13 +219,12 @@ def test_criterion_5_heat_kernel_probes():
                   f"{elapsed:.1f}s")
 
 
-def test_criterion_6_model_kernel_properties():
+def test_criterion_6_model_kernel_properties(cone_mode_solves):
     ok = True
     # cone mode kernel against the eigenexpansion oracle, pre-boundary window
-    fam = WarpFamily.capped(n=3, c=1.0)
     worst = 0.0
     for mu, nu in ((0.0, 0.5), (2.0, 1.5)):
-        sol = solve_mode(fam.radial_operator(mu, 0.0), SLGrid(8192), 200)
+        sol = cone_mode_solves[mu]
         for t in (0.01, 0.02, 0.04):
             ev = heat_from_spectrum(sol, 0.3, 0.3, t)
             ck = cone_mode_kernel(nu, 3, 0.3, 0.3, t)

@@ -59,10 +59,9 @@ def test_cone_mode_kernel_half_integer_closed_form():
         assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_cone_mode_kernel_vs_eigensum_oracle_pre_boundary():
-    fam = WarpFamily.capped(n=3, c=1.0)
+def test_cone_mode_kernel_vs_eigensum_oracle_pre_boundary(cone_mode_solves):
     for mu, nu in ((0.0, 0.5), (2.0, 1.5)):
-        sol = solve_mode(fam.radial_operator(mu, 0.0), SLGrid(8192), 200)
+        sol = cone_mode_solves[mu]
         for t in (0.01, 0.02, 0.04):
             ev = heat_from_spectrum(sol, 0.3, 0.3, t)
             ck = cone_mode_kernel(nu, 3, 0.3, 0.3, t)

@@ -2,15 +2,18 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.special import jv
 
 from acclab.geometry import WarpFamily, indicial_roots
-from acclab.spectral import (SLGrid, SolverError, assemble_spectrum,
-                             bessel_j_zeros, conic_reference_spectrum,
-                             mode_rayleigh_bound, solve_mode, spectral_flow)
+from acclab.spectral import (ModeSolution, SLGrid, SolverError,
+                             assemble_spectrum, bessel_j_zeros,
+                             conic_reference_spectrum, mode_rayleigh_bound,
+                             solve_mode, spectral_flow)
 from acclab.heat import ExactConeMode
 
 SCHEDULE = [0.2, 0.1, 0.05, 0.025, 0.0125]
@@ -43,6 +46,74 @@ def test_bessel_zeros_against_scipy_brentq():
         root = brentq(lambda y: jv(nu, y), z - 0.1, z + 0.1)
         assert root == pytest.approx(z, abs=1e-10)
     assert all(b > a for a, b in zip(zeros, zeros[1:]))
+
+
+def _mpmath_zero(nu, k):
+    return float(mpmath.besseljzero(mpmath.mpf(nu), k))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.floats(0.0, 30.0), st.integers(1, 200), st.data())
+def test_bessel_zeros_match_mpmath(nu, count, data):
+    zeros = np.array(bessel_j_zeros(nu, count))
+    assert len(zeros) == count
+    assert np.all(np.diff(zeros) > 0)
+    # J_nu changes sign across every zero; consecutive zeros are more than
+    # 3 apart, so +-0.25 stays between the neighbours
+    assert np.all(np.signbit(jv(nu, zeros - 0.25)) != np.signbit(jv(nu, zeros + 0.25)))
+    # mpmath is too slow for every zero of every draw: check the first, the
+    # last and a few drawn in between
+    ks = {1, count} | set(data.draw(st.lists(st.integers(1, count), max_size=3)))
+    for k in sorted(ks):
+        ref = _mpmath_zero(nu, k)
+        assert abs(zeros[k - 1] - ref) <= 1e-15 * ref
+
+
+@pytest.mark.parametrize("nu, count", [(0.0, 1), (0.0, 5), (30.0, 1), (0.5, 1)])
+def test_bessel_zeros_edge_orders_and_counts(nu, count):
+    zeros = bessel_j_zeros(nu, count)
+    assert len(zeros) == count
+    for k, z in enumerate(zeros, start=1):
+        ref = _mpmath_zero(nu, k)
+        assert abs(z - ref) <= 1e-15 * ref
+
+
+def test_bessel_zeros_reject_negative_order():
+    with pytest.raises(ValueError, match="nonnegative"):
+        bessel_j_zeros(-0.5, 3)
+
+
+def _random_mode_solution(seed, nodes, cols):
+    rng = np.random.default_rng(seed)
+    xs = np.cumsum(rng.uniform(0.01, 1.0, nodes)) - rng.uniform(0.0, 2.0)
+    return ModeSolution(None, xs, None, None, rng.normal(size=(nodes, cols)), None)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.integers(1, 6))
+def test_interp_matches_per_column_np_interp(seed, nodes, cols):
+    sol = _random_mode_solution(seed, nodes, cols)
+    xs = sol.xs
+    rng = np.random.default_rng(seed + 1)
+    x = np.concatenate([rng.uniform(xs[0], xs[-1], 50), xs, [xs[0], xs[-1]]])
+    expected = np.stack([np.interp(x, xs, sol.u[:, j]) for j in range(cols)],
+                        axis=1)
+    assert np.array_equal(sol.interp(x), expected)
+    assert np.array_equal(sol.interp(float(x[0])), expected[:1])
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40),
+       st.floats(1e-12, 1e3), st.booleans())
+def test_interp_rejects_points_outside_domain(seed, nodes, dist, right):
+    sol = _random_mode_solution(seed, nodes, 2)
+    xs = sol.xs
+    outside = xs[-1] + dist if right else xs[0] - dist
+    with pytest.raises(ValueError, match="outside the domain"):
+        sol.interp([0.5 * (xs[0] + xs[-1]), outside])
+    with pytest.raises(ValueError, match="outside the domain"):
+        sol.interp(np.nextafter(xs[-1], np.inf) if right
+                   else np.nextafter(xs[0], -np.inf))
 
 
 def test_scale_c_enters_through_nu():
