@@ -17,14 +17,14 @@ fam = WarpFamily.capped(n=3, c=0.8, mode_count=12)
 
 print("interior probe at x = x' = 0.5, t in [0.1, 1]:")
 res = interior_probe(fam, [0.2, 0.1, 0.05, 0.025], times=(0.1, 0.5, 1.0),
-                     ell_max=6, count=40)
+                     ell_max=6)
 for eps, d in zip(res.schedule, res.distances):
     print(f"  eps={eps:7.4f}  max relative gap {d:.3e}")
 print("  strictly decreasing:", res.strictly_decreasing)
 
 print("\nscaled probe at rho = rho' = 1, tau = 0.5:")
 sched = [1 / 2, 1 / 2.25, 1 / 2.5, 1 / 2.75, 1 / 3]
-res2 = scaled_probe(fam, sched, ell_max=6, count=40)
+res2 = scaled_probe(fam, sched, ell_max=6)
 for eps, d in zip(res2.schedule, res2.distances):
     wall = math.exp(-(2 * (1 / eps - 1)) ** 2 / 2.0)
     print(f"  eps={eps:7.4f}  relative gap {d:.3e}   wall estimate {wall:.3e}")

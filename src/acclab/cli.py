@@ -246,7 +246,6 @@ def cmd_heat(args) -> int:
     out = _outdir(args)
     regime = args.regime
     rows = ["regime,eps,t_or_tau,x,xprime,value_model,value_eps,abs_err"]
-    summary = {}
     if regime == "interior":
         res = interior_probe(fam, _float_list(cp["schedule"]["eps"]),
                              x=float(pr["x"]), xp=float(pr["xprime"]),
@@ -327,11 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="conic-degeneration bookkeeping and spectral verification")
     ap.add_argument("--config", help="INI experiment configuration")
     ap.add_argument("--out", help="output directory (default ./out)")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="accepted for compatibility; runs are sequential "
-                         "for determinism")
-    ap.add_argument("--tolerance", type=float, default=None,
-                    help="override the solver relative tolerance")
     ap.add_argument("--verify-tables", action="store_true",
                     dest="verify_tables_flag",
                     help="run every golden-table check and exit")
@@ -373,9 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tolerance is not None and args.tolerance <= 0:
-        print("tolerance must be positive", file=sys.stderr)
-        return 2
     if args.verify_tables_flag:
         return cmd_verify_tables(args)
     if not getattr(args, "func", None):

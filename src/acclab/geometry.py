@@ -324,10 +324,6 @@ class WeightFunction:
         return float(np.max(self(x) ** delta * np.abs(np.asarray(values))))
 
 
-def weight_eval(w: WeightFunction, x):
-    return w(x)
-
-
 # ---------------------------------------------------------------------------
 # the per-mode Sturm-Liouville reduction
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from scipy.linalg import solve_banded
 from scipy.special import ive, jv
 
 from .geometry import WarpFamily, indicial_roots
-from .spectral import (ModeSolution, SLGrid, SolverError, bessel_j_zeros,
-                       solve_mode)
+from .spectral import (ModeSolution, SLGrid, SolverError, _discretize,
+                       bessel_j_zeros, solve_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +89,17 @@ def b_cylinder_kernel(s, sp, t, mu: float = 0.0):
 # eigenexpansion kernels
 # ---------------------------------------------------------------------------
 
+# an eigenexpansion at time t is complete once e^(-lambda_max t) <= TAIL_TOL
+TAIL_TOL = 1e-14
+
+
+def _tail_lam_top(t: float) -> float:
+    """Smallest lambda_max that pushes e^(-lambda_max t) to TAIL_TOL."""
+    return -math.log(TAIL_TOL) / t
+
+
 def heat_from_spectrum(sol: ModeSolution, x, xp, t: float,
-                       tail_tol: float = 1e-14) -> float:
+                       tail_tol: float = TAIL_TOL) -> float:
     """Mode kernel sum_k e^(-lambda_k t) u_k(x) u_k(x'), w-normalized.
 
     Errors out when the available eigenvalue range cannot push the tail
@@ -164,15 +173,9 @@ def crank_nicolson_mode(op, grid: SLGrid, xp: float, times: Sequence[float],
     Starts from a discrete delta at xp (w-weighted), marches with uniform
     steps between the requested times and reads off the probe value.
     """
-    from .spectral import _assemble
-    lo, hi = op.domain()
-    xs = grid.nodes(lo, hi)
-    ptil, qtil, wtil = op.substituted_coefficients()
-    left_dir = op.parity == "odd" if op.parity is not None else (
-        op.inner_bc == "none" and op.outer_bc == "dirichlet" and lo != 0.0)
-    diag, off, mass, idx = _assemble(ptil, qtil, wtil, xs, left_dir,
-                                     op.outer_bc == "dirichlet")
-    xn = xs[idx]
+    disc = _discretize(op, grid)
+    diag, off, mass = disc.diag, disc.off, disc.mass
+    xn = disc.xs[disc.idx]
     j0 = int(np.argmin(np.abs(xn - xp)))
     u = np.zeros(len(xn))
     u[j0] = 1.0 / mass[j0]
@@ -254,16 +257,24 @@ class ProbeResult:
 def interior_probe(family: WarpFamily, schedule: Sequence[float],
                    x: float = 0.5, xp: float = 0.5,
                    times: Sequence[float] = (0.1, 0.25, 0.5, 1.0),
-                   ell_max: int = 8, grid: Optional[SLGrid] = None,
-                   count: int = 60) -> ProbeResult:
+                   ell_max: int = 8,
+                   grid: Optional[SLGrid] = None) -> ProbeResult:
     """Fixed-point convergence of the family kernel to the conic limit.
 
     H_eps is the eigenexpansion kernel of (M, g_eps); the limit H_0 is the
     exact Bessel eigenexpansion of the cone.  The distance is the max over
-    the time grid of |H_eps - H_0|.
+    the time grid of |H_eps - H_0|.  Each mode is solved up to the
+    eigenvalue the TAIL_TOL guard needs at the smallest time.
+
+    H_eps is reproducible to about 1e-8 relative, not to the last digit:
+    eigh_tridiagonal bisects to an absolute tolerance of eps ||T||_1
+    (about 1e-8 at N = 4096), so the low eigenvalues already move by about
+    6e-10 relative when only the number of requested pairs changes, and
+    H_eps by about 1e-8.  That is below the Richardson estimate lam_err.
     """
     grid = grid or SLGrid(2048)
     times = list(times)
+    lam_top = _tail_lam_top(min(times))
     weights = [coincident_angular_weight(family, ell) for ell in range(ell_max + 1)]
 
     h0_modes = [ExactConeMode(family, family.cross_section.mu(ell), 160)
@@ -277,7 +288,7 @@ def interior_probe(family: WarpFamily, schedule: Sequence[float],
         mode_sols = []
         for ell in range(ell_max + 1):
             op = family.radial_operator(family.cross_section.mu(ell), eps)
-            mode_sols.append(solve_mode(op, grid, count))
+            mode_sols.append(solve_mode(op, grid, lam_top=lam_top))
         for j, t in enumerate(times):
             eps_vals[i, j] = sum(
                 w * heat_from_spectrum(sol, x, xp, t)
@@ -294,19 +305,19 @@ def interior_probe(family: WarpFamily, schedule: Sequence[float],
 
 
 def _truncated_mode_solution(family: WarpFamily, mu: float, radius: float,
-                             h: float, count: int) -> ModeSolution:
+                             h: float, lam_top: float) -> ModeSolution:
     op = family.radial_operator_fixed_space(mu, radius)
     n = int(round(radius / h))
     if abs(n * h - radius) > 1e-12:
         raise SolverError("truncation radius must be a grid multiple")
     n = max(n, 16)
-    return solve_mode(op, SLGrid(n), min(count, n // 4))
+    return solve_mode(op, SLGrid(n), lam_top=lam_top)
 
 
 def scaled_probe(family: WarpFamily, schedule: Sequence[float],
                  rho: float = 1.0, rhop: float = 1.0, tau: float = 0.5,
                  ell_max: int = 8, h: float = 1.0 / 128.0,
-                 ref_radius: float = 6.0, count: int = 60,
+                 ref_radius: float = 6.0,
                  monitor_truncation: bool = True,
                  monitor_rel_tol: Optional[float] = None) -> ProbeResult:
     """Front-face convergence of the rescaled kernels to the fixed space.
@@ -316,17 +327,19 @@ def scaled_probe(family: WarpFamily, schedule: Sequence[float],
     space truncated at radius 1/eps (the scaling identity is exact), so the
     probe distance is the domain-monotone wall effect, computed on matched
     uniform grids.  Every 1/eps must be a multiple of the grid step h.
+    Each mode is solved up to the eigenvalue the TAIL_TOL guard needs at tau.
     """
     if family.profile != "capped":
         raise SolverError("the scaled probe requires the capped profile "
                           "(exact rescaling)")
     weights = [coincident_angular_weight(family, ell) for ell in range(ell_max + 1)]
     mus = [family.cross_section.mu(ell) for ell in range(ell_max + 1)]
+    lam_top = _tail_lam_top(tau)
 
     def kernel_on(radius: float) -> float:
         total = 0.0
         for w, mu in zip(weights, mus):
-            sol = _truncated_mode_solution(family, mu, radius, h, count)
+            sol = _truncated_mode_solution(family, mu, radius, h, lam_top)
             total += w * heat_from_spectrum(sol, rho, rhop, tau)
         return total
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigh
@@ -24,6 +25,10 @@ from .geometry import RadialOperator, WarpFamily, indicial_roots
 
 class SolverError(RuntimeError):
     pass
+
+
+# pairs solved beyond the coarse-grid count at or below lam_top
+_LAM_TOP_MARGIN = 2
 
 
 # ---------------------------------------------------------------------------
@@ -131,52 +136,82 @@ class ModeSolution:
         return out
 
 
-def solve_mode(op: RadialOperator, grid: SLGrid, count: int,
-               richardson: bool = True, tol: Optional[float] = None) -> ModeSolution:
-    """First `count` eigenpairs of a radial operator.
+class _Discretization(NamedTuple):
+    """One radial operator on one grid, boundary conditions applied."""
+
+    xs: np.ndarray     # all nodes
+    idx: np.ndarray    # indices of the unknowns (Dirichlet nodes dropped)
+    diag: np.ndarray   # stiffness tridiagonal A on the unknowns
+    off: np.ndarray
+    mass: np.ndarray   # lumped mass M of the substituted weight
+    bd: np.ndarray     # M^(-1/2) A M^(-1/2), the symmetric eigenproblem
+    bo: np.ndarray
+
+
+def _discretize(op: RadialOperator, grid: SLGrid) -> _Discretization:
+    """Node layout, boundary-condition choice and the u = x^gamma v
+    substitution of `op` on `grid`, with the mass-scaled tridiagonal."""
+    lo, hi = op.domain()
+    xs = grid.nodes(lo, hi)
+    ptil, qtil, wtil = op.substituted_coefficients()
+    if op.parity is not None:
+        left_dir = op.parity == "odd"
+    else:
+        left_dir = (op.inner_bc == "none" and op.outer_bc == "dirichlet"
+                    and lo != 0.0)
+    right_dir = op.outer_bc == "dirichlet"
+    diag, off, mass, idx = _assemble(ptil, qtil, wtil, xs, left_dir, right_dir)
+    d = 1.0 / np.sqrt(mass)
+    return _Discretization(xs, idx, diag, off, mass, diag * d * d,
+                           off * d[:-1] * d[1:])
+
+
+def _count_below(disc: _Discretization, lam_top: float) -> int:
+    """Number of eigenvalues <= lam_top, from one eigenvalue-only pass."""
+    # below every Gershgorin disc, so (lo, lam_top] holds all of them
+    radius = 2.0 * float(np.max(np.abs(disc.bo)))
+    lo = min(float(np.min(disc.bd)) - radius, lam_top) - 1.0
+    return len(eigh_tridiagonal(disc.bd, disc.bo, eigvals_only=True,
+                                select="v", select_range=(lo, lam_top)))
+
+
+def solve_mode(op: RadialOperator, grid: SLGrid, count: Optional[int] = None,
+               richardson: bool = True, tol: Optional[float] = None, *,
+               lam_top: Optional[float] = None) -> ModeSolution:
+    """First `count` eigenpairs of a radial operator, or every eigenpair up
+    to `lam_top` (give exactly one of the two).
 
     Eigenvalues carry a Richardson error estimate from the (N, 2N) pair and
     are extrapolated to fourth order; eigenvectors come from the fine grid
-    and are w-orthonormal.
+    and are w-orthonormal.  With `lam_top` the pair count is the number of
+    coarse-grid eigenvalues at or below it plus a margin of two, and the
+    call fails unless the last extrapolated eigenvalue reaches `lam_top`.
     """
+    if (count is None) == (lam_top is None):
+        raise ValueError("give exactly one of count and lam_top")
+    coarse = _discretize(op, grid)
+    if lam_top is not None:
+        count = _count_below(coarse, lam_top) + _LAM_TOP_MARGIN
     if count > grid.n // 4:
         raise SolverError("count > N/4: refine the grid")
 
-    def solve_on(g: SLGrid, vectors: bool = True):
-        lo, hi = op.domain()
-        xs = g.nodes(lo, hi)
-        ptil, qtil, wtil = op.substituted_coefficients()
-        if op.parity is not None:
-            left_dir = op.parity == "odd"
-        else:
-            left_dir = (op.inner_bc == "none" and op.outer_bc == "dirichlet"
-                        and lo != 0.0)
-        right_dir = op.outer_bc == "dirichlet"
-        diag, off, mass, idx = _assemble(ptil, qtil, wtil, xs, left_dir, right_dir)
-        d = 1.0 / np.sqrt(mass)
-        bd = diag * d * d
-        bo = off * d[:-1] * d[1:]
-        if not vectors:
-            return eigh_tridiagonal(bd, bo, eigvals_only=True, select="i",
-                                    select_range=(0, count - 1))
-        lam, vec = eigh_tridiagonal(bd, bo, select="i",
-                                    select_range=(0, count - 1))
-        v = vec * d[:, None]
-        full = np.zeros((len(xs), count))
-        full[idx, :] = v
-        g_ = op.gamma()
-        if g_ != 0.0:
-            full = full * (xs[:, None] ** g_)
-        # quadrature weights of the ORIGINAL w-inner product on all nodes:
-        # mass entries are for the substituted weight w~ = w x^(2 gamma),
-        # so int f g w dx ~= sum (f/x^g)(g/x^g) mass
-        mass_full = np.zeros(len(xs))
-        mass_full[idx] = mass
-        return xs, lam, full, mass_full
-
-    xs2, lam2, u2, mass2 = solve_on(grid.refined())
+    fine = _discretize(op, grid.refined())
+    lam2, vec = eigh_tridiagonal(fine.bd, fine.bo, select="i",
+                                 select_range=(0, count - 1))
+    xs2 = fine.xs
+    u2 = np.zeros((len(xs2), count))
+    u2[fine.idx, :] = vec * (1.0 / np.sqrt(fine.mass))[:, None]
+    g_ = op.gamma()
+    if g_ != 0.0:
+        u2 = u2 * (xs2[:, None] ** g_)
+    # quadrature weights of the ORIGINAL w-inner product on all nodes:
+    # mass entries are for the substituted weight w~ = w x^(2 gamma),
+    # so int f g w dx ~= sum (f/x^g)(g/x^g) mass
+    mass2 = np.zeros(len(xs2))
+    mass2[fine.idx] = fine.mass
     if richardson:
-        lam1 = solve_on(grid, vectors=False)
+        lam1 = eigh_tridiagonal(coarse.bd, coarse.bo, eigvals_only=True,
+                                select="i", select_range=(0, count - 1))
         err = np.abs(lam2 - lam1) / 3.0
         lam = lam2 + (lam2 - lam1) / 3.0
     else:
@@ -184,6 +219,9 @@ def solve_mode(op: RadialOperator, grid: SLGrid, count: int,
         lam = lam2.copy()
     if tol is not None and np.any(err > tol * np.maximum(1.0, np.abs(lam))):
         raise SolverError("grid too coarse: Richardson estimate exceeds tolerance")
+    if lam_top is not None and lam[-1] < lam_top:
+        raise SolverError(f"{count} pairs reach only lambda = {lam[-1]:.6g}, "
+                          f"below lam_top = {lam_top:.6g}: refine the grid")
     return ModeSolution(op, xs2, lam, err, u2, lam_raw=lam2, mass=mass2)
 
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from acclab.geometry import WarpFamily, indicial_roots, sphere_volume
-from acclab.heat import (ExactConeMode, GridKernel, KernelSample, PolyKernel,
-                         b_cylinder_kernel, cone_mode_kernel,
+from acclab.heat import (TAIL_TOL, ExactConeMode, GridKernel, KernelSample,
+                         PolyKernel, b_cylinder_kernel, cone_mode_kernel,
                          crank_nicolson_mode, euclidean_kernel,
                          g0_fiber_check, g0_refinement_ratio,
                          half_line_dirichlet_kernel, heat_from_spectrum,
@@ -156,6 +156,21 @@ def test_heat_from_spectrum_tail_guard():
         heat_from_spectrum(sol, 0.5, 0.5, 1e-4)
 
 
+@pytest.mark.parametrize("t", [0.05, 0.1, 0.5])
+@pytest.mark.parametrize("mu", [0.0, 6.0, 20.0])
+def test_tail_truncated_heat_sum_matches_the_count_sum(mu, t):
+    # solving only up to ln(1/TAIL_TOL)/t passes the tail guard at t and
+    # changes the kernel by no more than the eigensolver's reproducibility
+    op = WarpFamily.capped(n=3, c=0.8).radial_operator(mu, 0.05)
+    lam_top = math.log(1.0 / TAIL_TOL) / t
+    sol = solve_mode(op, SLGrid(1024), lam_top=lam_top)
+    assert math.exp(-sol.lam[-1] * t) <= TAIL_TOL
+    full = solve_mode(op, SLGrid(1024), 60)
+    for x, xp in [(0.5, 0.5), (0.3, 0.7), (0.9, 0.2)]:
+        assert heat_from_spectrum(sol, x, xp, t) == pytest.approx(
+            heat_from_spectrum(full, x, xp, t), rel=1e-8, abs=1e-300)
+
+
 def test_semigroup_property_quadrature():
     fam = WarpFamily.capped(n=3, c=1.0)
     sol = solve_mode(fam.radial_operator(0.0, 0.1), SLGrid(2048), 80)
@@ -222,7 +237,7 @@ def test_exact_cone_mode_matches_closed_form():
 def test_interior_probe_small_schedule():
     fam = WarpFamily.capped(n=3, c=0.8, mode_count=10)
     res = interior_probe(fam, [0.2, 0.1, 0.05, 0.025], times=(0.1, 0.5),
-                         ell_max=6, grid=SLGrid(512), count=40)
+                         ell_max=6, grid=SLGrid(512))
     assert res.strictly_decreasing
     assert res.distances[-1] < 1e-2
     assert res.regime == "interior_F0101"
@@ -231,7 +246,7 @@ def test_interior_probe_small_schedule():
 def test_scaled_probe_small_schedule():
     fam = WarpFamily.capped(n=3, c=0.8, mode_count=10)
     res = scaled_probe(fam, [1 / 2, 1 / 2.25, 1 / 2.5], ell_max=6,
-                       h=1 / 64, ref_radius=5.0, count=40)
+                       h=1 / 64, ref_radius=5.0)
     assert res.strictly_decreasing
     assert res.distances[-1] < 5e-2
     wall = [math.exp(-(2 * (1 / e - 1)) ** 2 / 2.0) for e in res.schedule]
@@ -244,7 +259,7 @@ def test_scaled_probe_detects_tight_truncation():
     fam = WarpFamily.capped(n=3, c=0.8, mode_count=10)
     with pytest.raises(SolverError, match="truncation-domain influence"):
         scaled_probe(fam, [1 / 2, 1 / 2.25, 1 / 2.5], ell_max=4,
-                     h=1 / 64, ref_radius=2.0, count=40)
+                     h=1 / 64, ref_radius=2.0)
 
 
 def test_scaled_probe_requires_capped():
@@ -370,7 +385,7 @@ def test_max_principle_on_probe_error():
     # E = H_eps - H_0 from the interior probe obeys the fitted envelope
     fam = WarpFamily.capped(n=3, c=0.8, mode_count=10)
     res = interior_probe(fam, [0.2, 0.1], times=(0.1, 0.3, 0.6, 1.0),
-                         ell_max=6, grid=SLGrid(512), count=40)
+                         ell_max=6, grid=SLGrid(512))
     tg = np.array(res.times)
     for i, eps in enumerate(res.schedule):
         e = np.abs(res.eps_values[i] - res.model_values)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.special import jv
 
+from acclab import spectral
 from acclab.geometry import WarpFamily, indicial_roots
 from acclab.spectral import (ModeSolution, SLGrid, SolverError,
                              assemble_spectrum, bessel_j_zeros,
@@ -156,6 +157,67 @@ def test_solver_guard_rails():
         solve_mode(op, SLGrid(16), 3, tol=1e-12)
     with pytest.raises(ValueError, match="16"):
         SLGrid(8)
+
+
+def _lam_top_operators():
+    capped = WarpFamily.capped(n=3, c=0.8, mode_count=10)
+    neck = WarpFamily.neck(n=3, c=0.8, mode_count=10)
+    ops = [("capped mu=0", capped.radial_operator(0.0, 0.1)),
+           ("capped mu=12", capped.radial_operator(12.0, 0.05)),
+           ("cone mu=2", capped.radial_operator(2.0, 0.0)),
+           ("scaled space", capped.radial_operator_fixed_space(6.0, 3.0))]
+    ops += [(f"neck {branch}", op)
+            for branch, op in neck.radial_operators_split(2.0, 0.1)]
+    return ops
+
+
+@pytest.mark.parametrize("lam_top", [30.0, 322.0, 2500.0])
+@pytest.mark.parametrize("name, op", _lam_top_operators())
+def test_lam_top_solve_is_the_tail_prefix_of_the_count_solve(name, op, lam_top):
+    grid = SLGrid(512)
+    sol = solve_mode(op, grid, lam_top=lam_top)
+    full = solve_mode(op, grid, 60)
+    m = len(sol.lam)
+    assert full.lam[-1] > lam_top  # the count=60 reference covers the range
+    # the last extrapolated eigenvalue reaches lam_top ...
+    assert sol.lam[-1] >= lam_top
+    # ... every eigenvalue at or below lam_top is there ...
+    assert m >= np.count_nonzero(full.lam <= lam_top)
+    # ... and the result is a prefix of the count=60 solve
+    assert sol.u.shape == (len(full.xs), m)
+    np.testing.assert_allclose(sol.lam, full.lam[:m], rtol=1e-8, atol=0)
+    np.testing.assert_allclose(sol.lam_err, full.lam_err[:m], rtol=1e-6,
+                               atol=1e-9 * lam_top)
+    # eigenvectors up to sign, against the node scale of the mode
+    signs = np.sign(np.sum(sol.u * full.u[:, :m], axis=0))
+    scale = np.max(np.abs(full.u[:, :m]), axis=0)
+    assert np.all(np.max(np.abs(sol.u * signs - full.u[:, :m]), axis=0)
+                  <= 1e-6 * scale)
+
+
+def test_lam_top_and_count_are_exclusive():
+    op = WarpFamily.capped(n=3, c=0.8).radial_operator(0.0, 0.1)
+    with pytest.raises(ValueError, match="exactly one"):
+        solve_mode(op, SLGrid(256), 5, lam_top=100.0)
+    with pytest.raises(ValueError, match="exactly one"):
+        solve_mode(op, SLGrid(256))
+
+
+def test_lam_top_beyond_quarter_grid_raises():
+    op = WarpFamily.capped(n=3, c=0.8).radial_operator(0.0, 0.1)
+    grid = SLGrid(64)  # at most 16 pairs
+    solve_mode(op, grid, lam_top=(12 * math.pi) ** 2)
+    with pytest.raises(SolverError, match="count > N/4"):
+        solve_mode(op, grid, lam_top=(20 * math.pi) ** 2)
+
+
+def test_lam_top_short_spectrum_raises(monkeypatch):
+    # the coarse grid converges from below, so its count never falls short
+    # in practice; an undercount must still not return a short spectrum
+    op = WarpFamily.capped(n=3, c=0.8).radial_operator(0.0, 0.1)
+    monkeypatch.setattr(spectral, "_count_below", lambda disc, lam_top: 0)
+    with pytest.raises(SolverError, match="below lam_top"):
+        solve_mode(op, SLGrid(256), lam_top=322.0)
 
 
 def test_conic_reference_closed_forms_and_neck_doubling():
