@@ -439,7 +439,7 @@ def orders_to_jsonable(el: CalculusOrders) -> dict:
 
 def orders_from_jsonable(data: dict) -> CalculusOrders:
     from .indexsets import order_from_jsonable
-    k = affine(data["k"]) if isinstance(data["k"], str) else affine(data["k"])
+    k = affine(data["k"])
     faces = {f: order_from_jsonable(s) for f, s in data["faces"].items()}
     coeffs = {f: orders_from_jsonable(c)
               for f, c in data.get("coefficients", {}).items()}

@@ -52,8 +52,8 @@ DEFAULT_CONFIG = {
     "model": {"n": "3", "c": "1.0", "profile": "capped", "mode_count": "12",
               "outer_bc": "dirichlet"},
     "schedule": {"eps": "0.2,0.1,0.05,0.025,0.0125"},
-    "solver": {"grid_n": "2048", "grid_kind": "uniform", "count": "10",
-               "ell_max": "4", "rel_tol": "1e-3"},
+    "solver": {"grid_n": "2048", "count": "10", "ell_max": "4",
+               "rel_tol": "1e-3"},
     "probes": {"x": "0.5", "xprime": "0.5", "times": "0.1,0.25,0.5,1.0",
                "rho": "1.0", "rhop": "1.0", "tau": "0.5",
                "scaled_eps": "0.5,0.4444444444444444,0.4,"
@@ -68,6 +68,14 @@ def read_config(path: Optional[str]) -> configparser.ConfigParser:
     if path:
         with open(path) as fh:
             cp.read_file(fh)
+    for section in cp.sections():
+        known = DEFAULT_CONFIG.get(section)
+        if known is None:
+            raise SystemExit(f"config error: unknown section [{section}]")
+        for key in cp[section]:
+            if key not in known:
+                raise SystemExit(f"config error: unknown key {key!r} "
+                                 f"in [{section}]")
     eps = _float_list(cp["schedule"]["eps"])
     if not eps or any(b >= a for a, b in zip(eps, eps[1:])):
         raise SystemExit("config error: schedule eps must be strictly decreasing")
@@ -155,20 +163,37 @@ def cmd_lift(args) -> int:
     return 0
 
 
+# what a malformed element file raises while it is read and parsed: no file,
+# no JSON, a missing key, a value of the wrong type or shape, a zero
+# denominator, or an unknown calculus or missing face
+_MALFORMED_ELEMENT = (OSError, ValueError, KeyError, TypeError, AttributeError,
+                      ZeroDivisionError, CompositionError)
+
+
+def _read_element(path: str):
+    with open(path) as fh:
+        return orders_from_jsonable(json.load(fh))
+
+
 def cmd_compose(args) -> int:
-    with open(args.a) as fh:
-        a = orders_from_jsonable(json.load(fh))
-    with open(args.b) as fh:
-        b = orders_from_jsonable(json.load(fh))
     rules = {"b": b_compose, "conic": conic_compose, "sc": sc_compose,
              "acc": acc_compose}
     if args.calculus not in rules:
         print(f"unknown calculus {args.calculus!r}", file=sys.stderr)
         return 2
+    if args.pipeline and args.calculus != "sc":
+        print(f"--pipeline applies to the sc calculus only, not "
+              f"{args.calculus!r}", file=sys.stderr)
+        return 2
+    rule = sc_compose_pipeline if args.pipeline else rules[args.calculus]
     try:
-        out = rules[args.calculus](a, b)
-        if args.calculus == "sc" and args.pipeline:
-            out = sc_compose_pipeline(a, b)
+        a, b = _read_element(args.a), _read_element(args.b)
+    except _MALFORMED_ELEMENT as exc:
+        print(f"malformed element: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 2
+    try:
+        out = rule(a, b)
     except CompositionError as exc:
         print(f"composition error: {exc}", file=sys.stderr)
         return 3
@@ -185,7 +210,7 @@ def cmd_compose(args) -> int:
 def cmd_spectrum(args) -> int:
     cp = read_config(args.config)
     fam = family_from_config(cp)
-    grid = SLGrid(int(cp["solver"]["grid_n"]), cp["solver"]["grid_kind"])
+    grid = SLGrid(int(cp["solver"]["grid_n"]))
     count = int(cp["solver"]["count"])
     ell_max = int(cp["solver"]["ell_max"])
     eps_list = _float_list(cp["schedule"]["eps"])
@@ -208,7 +233,7 @@ def cmd_spectrum(args) -> int:
 def cmd_flow(args) -> int:
     cp = read_config(args.config)
     fam = family_from_config(cp)
-    grid = SLGrid(int(cp["solver"]["grid_n"]), cp["solver"]["grid_kind"])
+    grid = SLGrid(int(cp["solver"]["grid_n"]))
     flow = spectral_flow(fam, _float_list(cp["schedule"]["eps"]), grid,
                          count=int(cp["solver"]["count"]),
                          ell_max=int(cp["solver"]["ell_max"]),

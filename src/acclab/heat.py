@@ -98,20 +98,23 @@ def _tail_lam_top(t: float) -> float:
     return -math.log(TAIL_TOL) / t
 
 
-def heat_from_spectrum(sol: ModeSolution, x, xp, t: float,
-                       tail_tol: float = TAIL_TOL) -> float:
-    """Mode kernel sum_k e^(-lambda_k t) u_k(x) u_k(x'), w-normalized.
+def _eigensum(lam: np.ndarray, ux: np.ndarray, uxp: np.ndarray,
+              t: float) -> float:
+    """sum_k e^(-lambda_k t) u_k(x) u_k(x') over the given eigenpairs.
 
     Errors out when the available eigenvalue range cannot push the tail
-    factor e^(-lambda_max t) below tail_tol.
+    factor e^(-lambda_max t) below TAIL_TOL.
     """
-    lam = sol.lam
-    if math.exp(-float(lam[-1]) * t) > tail_tol:
+    if math.exp(-float(lam[-1]) * t) > TAIL_TOL:
         raise SolverError(f"tail tolerance unreachable at t = {t}: have "
                           f"lambda_max = {lam[-1]:.3g}")
-    ux = sol.interp(x)[0]
-    uxp = sol.interp(xp)[0]
     return float(np.sum(np.exp(-lam * t) * ux * uxp))
+
+
+def heat_from_spectrum(sol: ModeSolution, x, xp, t: float) -> float:
+    """Mode kernel sum_k e^(-lambda_k t) u_k(x) u_k(x'), w-normalized,
+    behind the TAIL_TOL guard of `_eigensum`."""
+    return _eigensum(sol.lam, sol.interp(x)[0], sol.interp(xp)[0], t)
 
 
 @dataclass
@@ -139,18 +142,14 @@ class ExactConeMode:
         self.norms = np.sqrt(c ** (n - 1) * jv(self.nu + 1, zeros) ** 2 / 2.0)
 
     def u(self, x) -> np.ndarray:
+        """Eigenfunction values at points x, one column per zero."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         n = self.family.n
-        out = np.empty((len(x), self.count))
-        for k in range(self.count):
-            out[:, k] = (x ** (-(n - 2) / 2.0) * jv(self.nu, self.zeros[k] * x)
-                         / self.norms[k])
-        return out
+        return ((x ** (-(n - 2) / 2.0))[:, None]
+                * jv(self.nu, np.outer(x, self.zeros)) / self.norms)
 
     def kernel(self, x, xp, t: float) -> float:
-        ux = self.u(x)[0]
-        uxp = self.u(xp)[0]
-        return float(np.sum(np.exp(-self.lam * t) * ux * uxp))
+        return _eigensum(self.lam, self.u(x)[0], self.u(xp)[0], t)
 
 
 def coincident_angular_weight(family: WarpFamily, ell: int) -> float:
@@ -277,7 +276,10 @@ def interior_probe(family: WarpFamily, schedule: Sequence[float],
     lam_top = _tail_lam_top(min(times))
     weights = [coincident_angular_weight(family, ell) for ell in range(ell_max + 1)]
 
-    h0_modes = [ExactConeMode(family, family.cross_section.mu(ell), 160)
+    # n >= 3 gives nu >= 1/2, so j_(nu,k) >= k pi and this many zeros reach
+    # lam_top; the tail guard in the kernel sum checks it
+    zero_count = math.ceil(math.sqrt(lam_top) / math.pi)
+    h0_modes = [ExactConeMode(family, family.cross_section.mu(ell), zero_count)
                 for ell in range(ell_max + 1)]
     model = np.array([
         sum(w * m.kernel(x, xp, t) for w, m in zip(weights, h0_modes))
@@ -317,9 +319,7 @@ def _truncated_mode_solution(family: WarpFamily, mu: float, radius: float,
 def scaled_probe(family: WarpFamily, schedule: Sequence[float],
                  rho: float = 1.0, rhop: float = 1.0, tau: float = 0.5,
                  ell_max: int = 8, h: float = 1.0 / 128.0,
-                 ref_radius: float = 6.0,
-                 monitor_truncation: bool = True,
-                 monitor_rel_tol: Optional[float] = None) -> ProbeResult:
+                 ref_radius: float = 6.0) -> ProbeResult:
     """Front-face convergence of the rescaled kernels to the fixed space.
 
     For the capped profile the rescaled family eps^n H_eps(eps rho,
@@ -328,6 +328,8 @@ def scaled_probe(family: WarpFamily, schedule: Sequence[float],
     probe distance is the domain-monotone wall effect, computed on matched
     uniform grids.  Every 1/eps must be a multiple of the grid step h.
     Each mode is solved up to the eigenvalue the TAIL_TOL guard needs at tau.
+    The reference kernel is taken at radius 2 ref_radius; it must agree with
+    the one at ref_radius to max(1e-6, 0.2 h^2) relative, or the call fails.
     """
     if family.profile != "capped":
         raise SolverError("the scaled probe requires the capped profile "
@@ -343,21 +345,16 @@ def scaled_probe(family: WarpFamily, schedule: Sequence[float],
             total += w * heat_from_spectrum(sol, rho, rhop, tau)
         return total
 
-    ref = kernel_on(ref_radius)
-    drift = 0.0
-    if monitor_rel_tol is None:
-        # cross-domain h^2 discretization errors do not cancel exactly and
-        # floor the monitor near 0.1 h^2 of the value; genuine truncation
-        # influence shows up orders of magnitude above that
-        monitor_rel_tol = max(1e-6, 0.2 * h * h)
-    if monitor_truncation:
-        ref2 = kernel_on(2.0 * ref_radius)
-        drift = abs(ref2 - ref)
-        if drift > monitor_rel_tol * abs(ref2):
-            raise SolverError(
-                f"truncation-domain influence detected: reference radius "
-                f"{ref_radius} moves the probe by {drift:.3e}")
-        ref = ref2
+    # cross-domain h^2 discretization errors do not cancel exactly and
+    # floor the monitor near 0.1 h^2 of the value; genuine truncation
+    # influence shows up orders of magnitude above that
+    monitor_rel_tol = max(1e-6, 0.2 * h * h)
+    ref = kernel_on(2.0 * ref_radius)
+    drift = abs(ref - kernel_on(ref_radius))
+    if drift > monitor_rel_tol * abs(ref):
+        raise SolverError(
+            f"truncation-domain influence detected: reference radius "
+            f"{ref_radius} moves the probe by {drift:.3e}")
 
     vals = np.array([kernel_on(1.0 / eps) for eps in schedule])
     dists = np.abs(vals - ref) / abs(ref)

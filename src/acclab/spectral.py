@@ -1,7 +1,7 @@
 """Per-mode Sturm-Liouville eigensolver and the spectral-flow study.
 
 The radial problems -(p u')' + q u = lambda w u are discretized by a
-flux-form finite volume scheme on (possibly graded) grids, after the
+flux-form finite volume scheme on uniform grids, after the
 substitution u = x^gamma v at a singular endpoint.  Exact references for the
 degenerate limit come from Bessel zeros: per cross-section eigenvalue mu the
 cone on (0, 1] with Dirichlet outer boundary has spectrum j_{nu(mu),k}^2
@@ -17,7 +17,8 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigh
+from scipy import linalg
+from scipy.linalg import eigh
 from scipy.special import jv, jvp
 
 from .geometry import RadialOperator, WarpFamily, indicial_roots
@@ -37,32 +38,26 @@ _LAM_TOP_MARGIN = 2
 
 @dataclass(frozen=True)
 class SLGrid:
-    """Node layout: uniform, or graded toward the singular endpoint.
+    """Uniform node layout with n cells.
 
     The singular-endpoint substitution u = x^gamma v already restores
-    second-order accuracy on uniform grids, which are the default; strong
-    grading combined with the degenerate weight x^(n-1+2 gamma) makes the
-    mass-scaled tridiagonal transform ill-conditioned at large n.
+    second-order accuracy on uniform grids, so no grading toward the tip is
+    needed; strong grading combined with the degenerate weight
+    x^(n-1+2 gamma) would make the mass-scaled tridiagonal transform
+    ill-conditioned at large n.
     """
 
     n: int
-    kind: str = "uniform"
-    power: float = 2.0
 
     def __post_init__(self):
         if self.n < 16:
             raise ValueError("grid too coarse: need at least 16 nodes")
-        if self.kind not in ("uniform", "graded"):
-            raise ValueError(f"unknown grid kind {self.kind!r}")
 
     def nodes(self, lo: float, hi: float) -> np.ndarray:
-        s = np.linspace(0.0, 1.0, self.n + 1)
-        if self.kind == "graded" and lo == 0.0:
-            s = s ** self.power
-        return lo + (hi - lo) * s
+        return lo + (hi - lo) * np.linspace(0.0, 1.0, self.n + 1)
 
     def refined(self) -> "SLGrid":
-        return SLGrid(2 * self.n, self.kind, self.power)
+        return SLGrid(2 * self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +161,27 @@ def _discretize(op: RadialOperator, grid: SLGrid) -> _Discretization:
                            off * d[:-1] * d[1:])
 
 
+def eigh_tridiagonal(d, e, eigvals_only=False, select="a", select_range=None):
+    """scipy.linalg.eigh_tridiagonal, bit for bit, without scipy's copy of
+    the eigenvectors when stebz already returns ascending eigenvalues (the
+    freed copy made peak memory vary by one whole matrix between runs)."""
+    if eigvals_only or select != "i":
+        return linalg.eigh_tridiagonal(d, e, eigvals_only=eigvals_only,
+                                       select=select, select_range=select_range)
+    stebz, stein = linalg.get_lapack_funcs(("stebz", "stein"), (d, e))
+    # range 2: by 1-based index; order "B": grouped by diagonal block
+    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, select_range[0] + 1,
+                                       select_range[1] + 1, 0.0, "B")
+    if info == 0:
+        vec, info = stein(d, e, w[:m], iblock, isplit)
+    if info:
+        raise linalg.LinAlgError(f"eigh_tridiagonal: LAPACK info {info}")
+    order = np.argsort(w[:m])
+    if np.any(order != np.arange(m)):
+        return w[order], vec[:, order]
+    return w[:m], vec
+
+
 def _count_below(disc: _Discretization, lam_top: float) -> int:
     """Number of eigenvalues <= lam_top, from one eigenvalue-only pass."""
     # below every Gershgorin disc, so (lo, lam_top] holds all of them
@@ -176,7 +192,7 @@ def _count_below(disc: _Discretization, lam_top: float) -> int:
 
 
 def solve_mode(op: RadialOperator, grid: SLGrid, count: Optional[int] = None,
-               richardson: bool = True, tol: Optional[float] = None, *,
+               tol: Optional[float] = None, *,
                lam_top: Optional[float] = None) -> ModeSolution:
     """First `count` eigenpairs of a radial operator, or every eigenpair up
     to `lam_top` (give exactly one of the two).
@@ -199,24 +215,22 @@ def solve_mode(op: RadialOperator, grid: SLGrid, count: Optional[int] = None,
     lam2, vec = eigh_tridiagonal(fine.bd, fine.bo, select="i",
                                  select_range=(0, count - 1))
     xs2 = fine.xs
+    # scaled in place: no eigenvector-sized temporary
+    vec *= (1.0 / np.sqrt(fine.mass))[:, None]
     u2 = np.zeros((len(xs2), count))
-    u2[fine.idx, :] = vec * (1.0 / np.sqrt(fine.mass))[:, None]
+    u2[fine.idx, :] = vec
     g_ = op.gamma()
     if g_ != 0.0:
-        u2 = u2 * (xs2[:, None] ** g_)
+        u2 *= xs2[:, None] ** g_
     # quadrature weights of the ORIGINAL w-inner product on all nodes:
     # mass entries are for the substituted weight w~ = w x^(2 gamma),
     # so int f g w dx ~= sum (f/x^g)(g/x^g) mass
     mass2 = np.zeros(len(xs2))
     mass2[fine.idx] = fine.mass
-    if richardson:
-        lam1 = eigh_tridiagonal(coarse.bd, coarse.bo, eigvals_only=True,
-                                select="i", select_range=(0, count - 1))
-        err = np.abs(lam2 - lam1) / 3.0
-        lam = lam2 + (lam2 - lam1) / 3.0
-    else:
-        err = np.full_like(lam2, np.nan)
-        lam = lam2.copy()
+    lam1 = eigh_tridiagonal(coarse.bd, coarse.bo, eigvals_only=True,
+                            select="i", select_range=(0, count - 1))
+    err = np.abs(lam2 - lam1) / 3.0
+    lam = lam2 + (lam2 - lam1) / 3.0
     if tol is not None and np.any(err > tol * np.maximum(1.0, np.abs(lam))):
         raise SolverError("grid too coarse: Richardson estimate exceeds tolerance")
     if lam_top is not None and lam[-1] < lam_top:
@@ -272,10 +286,6 @@ class EigenResult:
     entries: List[dict] = field(default_factory=list)  # keys: lam, mu, mult, ell, k, err
     complete_below: float = math.inf  # tail bound of the mode truncation
 
-    def lambdas(self, limit: Optional[int] = None) -> List[float]:
-        out = [e["lam"] for e in self.entries]
-        return out[:limit] if limit else out
-
     def sorted(self) -> "EigenResult":
         return EigenResult(self.eps, sorted(self.entries, key=lambda e: e["lam"]),
                            self.complete_below)
@@ -305,7 +315,6 @@ def conic_reference_spectrum(family: WarpFamily, count_per_mode: int,
 
 def assemble_spectrum(family: WarpFamily, eps: float, grid: SLGrid,
                       count: int, ell_max: int,
-                      lam_cap: Optional[float] = None,
                       strict: bool = True) -> EigenResult:
     """Merged spectrum over modes ell <= ell_max with multiplicities.
 
@@ -334,8 +343,7 @@ def assemble_spectrum(family: WarpFamily, eps: float, grid: SLGrid,
         xs = np.linspace(lo, hi, 512)
         fmax = float(np.max(family.f(xs, eps)))
         res.complete_below = family.cross_section.mu(ell_max + 1) / fmax ** 2
-        top = lam_cap if lam_cap is not None else (
-            res.entries[-1]["lam"] if res.entries else 0.0)
+        top = res.entries[-1]["lam"] if res.entries else 0.0
         if strict and res.complete_below < top:
             raise SolverError(
                 f"mode truncation ell <= {ell_max} insufficient: next mode can "
@@ -512,39 +520,16 @@ def spectral_flow(family: WarpFamily, schedule: Sequence[float], grid: SLGrid,
 # Rayleigh quotient upper bounds
 # ---------------------------------------------------------------------------
 
-def rayleigh_minimax_bound(family: WarpFamily, eps: float,
-                           trial_basis: Sequence[Callable[[np.ndarray], np.ndarray]],
-                           npoints: int = 4001) -> np.ndarray:
-    """Galerkin upper bounds for the first len(trial_basis) eigenvalues.
+def mode_rayleigh_bound(op: RadialOperator,
+                        trial_basis: Sequence[Callable[[np.ndarray], np.ndarray]],
+                        npoints: int = 4001) -> np.ndarray:
+    """Galerkin upper bounds for the first len(trial_basis) eigenvalues of
+    one separated mode (the form includes the q-term).
 
     Trial functions must be piecewise smooth, lie in the form domain
     (bounded near the tip, vanishing at a Dirichlet outer boundary) and be
     supplied as callables; derivatives are taken by dense differencing.
     """
-    lo, hi = family.domain(eps)
-    xs = np.linspace(lo, hi, npoints)
-    p = family.f(xs, eps) ** (family.n - 1)
-    w = p
-    vals = np.stack([np.asarray(f(xs), dtype=float) for f in trial_basis])
-    ders = np.stack([np.gradient(v, xs) for v in vals])
-    dim = len(trial_basis)
-    Q = np.empty((dim, dim))
-    G = np.empty((dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            Q[i, j] = Q[j, i] = np.trapezoid(p * ders[i] * ders[j], xs)
-            G[i, j] = G[j, i] = np.trapezoid(w * vals[i] * vals[j], xs)
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SolverError("Gram matrix numerically singular")
-    lam = eigh(Q, G, eigvals_only=True)
-    return lam
-
-
-def mode_rayleigh_bound(op: RadialOperator,
-                        trial_basis: Sequence[Callable[[np.ndarray], np.ndarray]],
-                        npoints: int = 4001) -> np.ndarray:
-    """Same bound for a single separated mode (includes the q-term)."""
     lo, hi = op.domain()
     xs = np.linspace(lo + (1e-12 if lo == 0 else 0.0), hi, npoints)
     p = op.p(xs)

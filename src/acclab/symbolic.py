@@ -76,11 +76,6 @@ class AffineExpr:
     def is_constant(self) -> bool:
         return self.cn == 0 and self.cmu == 0
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.const
-
     def is_integer(self) -> bool:
         return self.is_constant() and self.const.denominator == 1
 

@@ -77,6 +77,37 @@ def test_compose_sc_cli(tmp_path, capsys):
     assert '"k": "-4"' in out
 
 
+def test_compose_pipeline_is_sc_only(tmp_path, capsys):
+    el = {"calculus": "b", "k": "-2",
+          "faces": {"110": {"terms": [[0, 1, 0]], "step": 1}}}
+    p = tmp_path / "b.json"
+    p.write_text(json.dumps(el))
+    assert run(["compose", "--calculus", "b", str(p), str(p)]) == 0
+    capsys.readouterr()
+    assert run(["compose", "--calculus", "b", "--pipeline", str(p), str(p)]) == 2
+    captured = capsys.readouterr()
+    assert "--pipeline applies to the sc calculus only" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", [
+    '{"calculus": "sc", "faces": {}}',                        # no "k"
+    '{"calculus": "sc", "k": 1.5, "faces": {}}',              # float order
+    '{"calculus": "sc", "k": "-2", "faces": [1, 2]}',         # faces a list
+    '{"calculus": "sc", "k": "-2", "faces": {"110": [[0, 1]]}}',  # short term
+    '{"calculus": "sc", "k": "-2", "faces": {"110": [[0, 0, 0]]}}',  # 0/0
+    '{"calculus": "sc", "k": "-2", "faces": {"110": [[0, 1, 0]]}}',  # no F_220
+    '{"calculus": "sc", "k": "-2",',                          # no JSON
+])
+def test_compose_malformed_element_exits_2(tmp_path, capsys, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    assert run(["compose", "--calculus", "sc", str(p), str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("malformed element: ")
+    assert captured.out == ""
+
+
 def test_compose_conic_named_precondition(tmp_path, capsys):
     el = {"calculus": "conic", "k": "0",
           "faces": {"100": {"terms": [[1, 1, 0]], "step": 1},
@@ -103,6 +134,19 @@ def test_config_validation(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[schedule]\neps = 0.1,0.2\n")
     with pytest.raises(SystemExit, match="decreasing"):
+        run(["--config", str(bad), "spectrum"])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[solver]\ngird_n = 256\n", "unknown key 'gird_n' in \\[solver\\]"),
+    ("[solver]\ngrid_kind = graded\n", "unknown key 'grid_kind'"),
+    ("[probes]\ncount = 3\n", "unknown key 'count' in \\[probes\\]"),
+    ("[sovler]\ngrid_n = 256\n", "unknown section \\[sovler\\]"),
+])
+def test_config_rejects_unknown_sections_and_keys(tmp_path, text, message):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    with pytest.raises(SystemExit, match="config error: " + message):
         run(["--config", str(bad), "spectrum"])
 
 

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from acclab.geometry import WarpFamily, indicial_roots, sphere_volume
 from acclab.heat import (TAIL_TOL, ExactConeMode, GridKernel, KernelSample,
-                         PolyKernel, b_cylinder_kernel, cone_mode_kernel,
+                         PolyKernel, b_cylinder_kernel,
+                         coincident_angular_weight, cone_mode_kernel,
                          crank_nicolson_mode, euclidean_kernel,
                          g0_fiber_check, g0_refinement_ratio,
                          half_line_dirichlet_kernel, heat_from_spectrum,
@@ -230,6 +232,40 @@ def test_exact_cone_mode_matches_closed_form():
     val = em.kernel(0.3, 0.3, 0.02)
     assert val == pytest.approx(cone_mode_kernel(0.5, 3, 0.3, 0.3, 0.02),
                                 rel=1e-6)
+
+
+def test_exact_cone_mode_u_matches_the_per_column_loop():
+    # one jv table over np.outer(x, zeros), bit-identical to one column at a
+    # time with the same arithmetic per element
+    em = ExactConeMode(WarpFamily.capped(n=4, c=0.8), 6.0, 12)
+    x = np.linspace(0.01, 1.0, 37)
+    loop = np.empty((len(x), em.count))
+    for k in range(em.count):
+        loop[:, k] = (x ** (-(4 - 2) / 2.0) * jv(em.nu, em.zeros[k] * x)
+                      / em.norms[k])
+    assert np.array_equal(em.u(x), loop)
+
+
+def test_exact_cone_mode_kernel_tail_guard():
+    # three zeros reach lambda = (3 pi)^2, far short of ln(1/TAIL_TOL)/0.1
+    em = ExactConeMode(WarpFamily.capped(n=3, c=1.0), 0.0, 3)
+    with pytest.raises(SolverError, match="tail"):
+        em.kernel(0.5, 0.5, 0.1)
+
+
+@pytest.mark.parametrize("c", [0.8, 1.0])
+def test_interior_probe_model_from_tail_rule_zeros(c):
+    # the conic limit kernel the probe builds from the tail rule's zeros per
+    # mode equals the 160-zero sum to the last bit: the omitted terms sit
+    # below half an ulp of the sum
+    fam = WarpFamily.capped(n=3, c=c, mode_count=12)
+    times = (0.1, 0.25, 0.5, 1.0)
+    res = interior_probe(fam, [0.2], times=times, ell_max=8, grid=SLGrid(256))
+    modes = [(coincident_angular_weight(fam, ell),
+              ExactConeMode(fam, fam.cross_section.mu(ell), 160))
+             for ell in range(9)]
+    full = [sum(w * m.kernel(0.5, 0.5, t) for w, m in modes) for t in times]
+    assert res.model_values.tolist() == full
 
 
 # -- degeneration probes -----------------------------------------------------------
