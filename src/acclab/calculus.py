@@ -31,22 +31,6 @@ class CompositionError(ValueError):
     """A composition precondition or pushforward integrability failure."""
 
 
-@dataclass(frozen=True)
-class DimensionContext:
-    """Concrete values used whenever exponents must be totally ordered."""
-
-    n: int = 3
-    mu0: Fraction = Fraction(0)
-
-    def key(self, alpha: AffineExpr) -> Fraction:
-        return alpha.subs(n=self.n, mu0=self.mu0)
-
-    def leading(self, order: OrderData) -> IndexTerm:
-        return leading_order(order, n=self.n, mu0=self.mu0)
-
-
-DEFAULT_CTX = DimensionContext()
-
 _CALCULUS_FACES = {
     "b": ("110",),
     "conic": ("100", "010", "112"),
@@ -94,13 +78,13 @@ class CalculusOrders:
         e = self.face_sets[face]
         return e if off is None else indexset_shift(e, off)
 
-    def leading_orders(self, ctx: DimensionContext = DEFAULT_CTX) -> Dict[str, str]:
+    def leading_orders(self) -> Dict[str, str]:
         """Published-style leading-order table (E-part leaders; diagonal order)."""
         out = {}
         for f in _CALCULUS_FACES[self.calculus]:
             e = self.face_sets[f]
             out[f"F_{f}"] = ("infinity" if isinstance(e, InfiniteOrder)
-                             else str(ctx.leading(e).alpha))
+                             else str(leading_order(e).alpha))
         out["F_d2" if self.calculus != "acc" else "diagonal"] = str(self.diagonal_order())
         return out
 
@@ -125,17 +109,16 @@ def conic_compose(a: CalculusOrders, b: CalculusOrders) -> CalculusOrders:
     name when violated.
     """
     _require_same(a, b, "conic")
-    ctx = DEFAULT_CTX
-    alpha_010 = ctx.leading(a.face_set("010")).alpha
-    alpha_112 = ctx.leading(a.face_set("112")).alpha
-    beta_100 = ctx.leading(b.face_set("100")).alpha
-    beta_112 = ctx.leading(b.face_set("112")).alpha
+    alpha_010 = leading_order(a.face_set("010")).alpha
+    alpha_112 = leading_order(a.face_set("112")).alpha
+    beta_100 = leading_order(b.face_set("100")).alpha
+    beta_112 = leading_order(b.face_set("112")).alpha
     checks = [
-        ("beta_112 + alpha_010 > 0", ctx.key(beta_112 + alpha_010) > 0),
-        ("alpha_112 + beta_100 > 0", ctx.key(alpha_112 + beta_100) > 0),
-        ("-k_a > 0", ctx.key(-a.k) > 0),
-        ("-k_b > 0", ctx.key(-b.k) > 0),
-        ("beta_100 + alpha_010 > -1", ctx.key(beta_100 + alpha_010) > -1),
+        ("beta_112 + alpha_010 > 0", (beta_112 + alpha_010).subs() > 0),
+        ("alpha_112 + beta_100 > 0", (alpha_112 + beta_100).subs() > 0),
+        ("-k_a > 0", (-a.k).subs() > 0),
+        ("-k_b > 0", (-b.k).subs() > 0),
+        ("beta_100 + alpha_010 > -1", (beta_100 + alpha_010).subs() > -1),
     ]
     failed = [name for name, ok in checks if not ok]
     if failed:
@@ -204,8 +187,8 @@ def pullback_orders(bmap: BMapSpec, orders: Dict[str, OrderData]) -> Dict[str, O
 
 
 def pushforward_orders(space3: CornerSpace, map_c: BMapSpec,
-                       orders: Dict[str, OrderData], bweight: Monomial,
-                       ctx: DimensionContext = DEFAULT_CTX) -> Dict[str, OrderData]:
+                       orders: Dict[str, OrderData],
+                       bweight: Monomial) -> Dict[str, OrderData]:
     """Push b-density orders forward along a b-fibration.
 
     `orders` are measured against the total b-density; `bweight` is a
@@ -240,10 +223,11 @@ def pushforward_orders(space3: CornerSpace, map_c: BMapSpec,
         o = corrected[f]
         if isinstance(o, InfiniteOrder):
             continue
-        if ctx.key(ctx.leading(o).alpha) <= 0:
+        alpha = leading_order(o).alpha
+        if alpha.subs() <= 0:
             raise CompositionError(
                 f"pushforward integrability violated at interior face {f}: "
-                f"b-density order {ctx.leading(o).alpha} is not positive")
+                f"b-density order {alpha} is not positive")
 
     out: Dict[str, OrderData] = {}
     for g in map_c.lifts:
@@ -261,7 +245,7 @@ def pushforward_orders(space3: CornerSpace, map_c: BMapSpec,
                                              for t in o.terms)))
         finite = [p for p in pieces if not isinstance(p, InfiniteOrder)]
         if len(finite) >= 2:
-            leaders = sorted(ctx.key(ctx.leading(p).alpha) for p in finite)
+            leaders = sorted(leading_order(p).alpha.subs() for p in finite)
             if leaders[0] == leaders[1]:
                 merged = indexset_union(pieces)
                 out[g] = IndexSet(merged.terms,
@@ -330,8 +314,7 @@ def _full_orders(el: CalculusOrders) -> Dict[str, OrderData]:
     }
 
 
-def sc_compose_pipeline(a: CalculusOrders, b: CalculusOrders,
-                        ctx: DimensionContext = DEFAULT_CTX) -> CalculusOrders:
+def sc_compose_pipeline(a: CalculusOrders, b: CalculusOrders) -> CalculusOrders:
     """Scattering composition via the triple-space pushforward.
 
     Lift the first factor by the left projection and the second by the
@@ -346,14 +329,14 @@ def sc_compose_pipeline(a: CalculusOrders, b: CalculusOrders,
     pb = pullback_orders(pipe.maps["beta_R"], _full_orders(b))
     combined = {f: indexset_sum(pa[f], pb[f]) for f in pa}
     pushed = pushforward_orders(pipe.triple, pipe.maps["beta_C"], combined,
-                                pipe.density, ctx=ctx)
+                                pipe.density)
     for side in ("100", "010", "001"):
         if not isinstance(pushed[side], InfiniteOrder):
             raise CompositionError(f"pipeline produced a finite order at the "
                                    f"side face F_{side}: {pushed[side]}")
     e110 = indexset_shift(pushed["110"], -_OFFSETS[("sc", "110")] + affine(-1))
     e220 = indexset_shift(pushed["220"], -_OFFSETS[("sc", "220")] + affine(-1))
-    d2_lead = ctx.leading(pushed["d2"]).alpha - 1
+    d2_lead = leading_order(pushed["d2"]).alpha - 1
     k_out = -(N + 3) / 2 - d2_lead
     return CalculusOrders("sc", k_out, {"110": e110, "220": e220},
                           meta={"route": "pushforward-pipeline"})

@@ -62,20 +62,44 @@ DEFAULT_CONFIG = {
 }
 
 
+def _float_list(text: str) -> List[float]:
+    return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+# the parser of each value, by key (the same in every section); keys not
+# named here hold text
+_PARSERS = {
+    "n": int, "mode_count": int, "grid_n": int, "count": int, "ell_max": int,
+    "c": float, "rel_tol": float, "x": float, "xprime": float, "rho": float,
+    "rhop": float, "tau": float, "h": float, "ref_radius": float,
+    "eps": _float_list, "times": _float_list, "scaled_eps": _float_list,
+}
+
+
 def read_config(path: Optional[str]) -> configparser.ConfigParser:
+    """The defaults overlaid with the file at `path`, every section, key and
+    value checked; any fault ends the run with a `config error:` message."""
     cp = configparser.ConfigParser()
     cp.read_dict(DEFAULT_CONFIG)
     if path:
-        with open(path) as fh:
-            cp.read_file(fh)
+        try:
+            with open(path) as fh:
+                cp.read_file(fh)
+        except (OSError, configparser.Error) as exc:
+            raise SystemExit(f"config error: cannot read {path}: {exc}")
     for section in cp.sections():
         known = DEFAULT_CONFIG.get(section)
         if known is None:
             raise SystemExit(f"config error: unknown section [{section}]")
-        for key in cp[section]:
+        for key, value in cp[section].items():
             if key not in known:
                 raise SystemExit(f"config error: unknown key {key!r} "
                                  f"in [{section}]")
+            try:
+                _PARSERS.get(key, str)(value)
+            except ValueError as exc:
+                raise SystemExit(f"config error: [{section}] {key} = "
+                                 f"{value}: {exc}")
     eps = _float_list(cp["schedule"]["eps"])
     if not eps or any(b >= a for a, b in zip(eps, eps[1:])):
         raise SystemExit("config error: schedule eps must be strictly decreasing")
@@ -86,15 +110,14 @@ def read_config(path: Optional[str]) -> configparser.ConfigParser:
     return cp
 
 
-def _float_list(text: str) -> List[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
 def family_from_config(cp) -> WarpFamily:
     m = cp["model"]
     maker = WarpFamily.capped if m["profile"] == "capped" else WarpFamily.neck
-    return maker(n=int(m["n"]), c=float(m["c"]),
-                 mode_count=int(m["mode_count"]), outer_bc=m["outer_bc"])
+    try:
+        return maker(n=int(m["n"]), c=float(m["c"]),
+                     mode_count=int(m["mode_count"]), outer_bc=m["outer_bc"])
+    except ValueError as exc:  # a family the model section cannot describe
+        raise SystemExit(f"config error: [model] {exc}")
 
 
 def _outdir(args) -> Path:
@@ -111,8 +134,9 @@ def cmd_faces(args) -> int:
     kind = args.kind
     rows = _spaces.face_table(kind)
     corners = _spaces.corner_table(kind)
-    golden = load_golden()["face_tables"].get(kind)
-    gold_corners = load_golden()["corner_tables"].get(kind, [])
+    data = load_golden()
+    golden = data["face_tables"].get(kind)
+    gold_corners = data["corner_tables"].get(kind, [])
     width = max(len(r["name"]) for r in rows) + 2
     print(f"# boundary faces of {kind}")
     for r in rows:
@@ -143,10 +167,11 @@ def cmd_lift(args) -> int:
         return 2
     text = args.monomial
     bare = text.startswith("rho_") and "^" not in text and "*" not in text
-    mono = parse_monomial(text)
     try:
+        mono = parse_monomial(text)
         lifted = maps[args.map].lift_monomial(mono)
-    except Exception as exc:  # unknown face and friends
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        # a malformed monomial or exponent, or a face the map does not know
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"({args.map})*({mono}) = {lifted}")

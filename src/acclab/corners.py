@@ -40,16 +40,15 @@ class Monomial:
     """Product of face defining functions with exact (affine) exponents."""
 
     exponents: Tuple[Tuple[str, AffineExpr], ...] = ()
-    prefactor_smooth: bool = True
 
     @staticmethod
-    def from_dict(d: Dict[str, object], prefactor_smooth: bool = True) -> "Monomial":
+    def from_dict(d: Dict[str, object]) -> "Monomial":
         items = []
         for k in sorted(d):
             e = affine(d[k])
             if e != affine(0):
                 items.append((k, e))
-        return Monomial(tuple(items), prefactor_smooth)
+        return Monomial(tuple(items))
 
     @staticmethod
     def one() -> "Monomial":
@@ -65,22 +64,21 @@ class Monomial:
         d = self.as_dict()
         for k, e in other.exponents:
             d[k] = d.get(k, affine(0)) + e
-        return Monomial.from_dict(d, self.prefactor_smooth and other.prefactor_smooth)
+        return Monomial.from_dict(d)
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         d = self.as_dict()
         for k, e in other.exponents:
             d[k] = d.get(k, affine(0)) - e
-        return Monomial.from_dict(d, self.prefactor_smooth and other.prefactor_smooth)
+        return Monomial.from_dict(d)
 
     def __pow__(self, m) -> "Monomial":
-        return Monomial.from_dict({k: e * m for k, e in self.exponents},
-                                  self.prefactor_smooth)
+        return Monomial.from_dict({k: e * m for k, e in self.exponents})
 
     def times_face(self, face: str, power) -> "Monomial":
         d = self.as_dict()
         d[face] = d.get(face, affine(0)) + affine(power)
-        return Monomial.from_dict(d, self.prefactor_smooth)
+        return Monomial.from_dict(d)
 
     def is_one(self) -> bool:
         return not self.exponents
@@ -241,9 +239,9 @@ class CornerSpace:
             if defines not in self.scalar_vars:
                 self.scalar_vars = self.scalar_vars + (defines,)
 
-    def add_component(self, comp: str, lift: Optional[Monomial] = None,
-                      scalar: bool = False) -> None:
-        self.components[comp] = lift if lift is not None else Monomial.one()
+    def add_component(self, comp: str, scalar: bool = False) -> None:
+        """Track a component that vanishes at no original face."""
+        self.components[comp] = Monomial.one()
         if scalar and comp not in self.scalar_vars:
             self.scalar_vars = self.scalar_vars + (comp,)
 

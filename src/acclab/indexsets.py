@@ -57,13 +57,6 @@ class IndexTerm:
             raise ValueError(f"log power must be a nonnegative integer: {self.p}")
         object.__setattr__(self, "p", int(self.p))
 
-    def shifted(self, c) -> "IndexTerm":
-        return IndexTerm(self.alpha + affine(c), self.p)
-
-    def scaled(self, m: int) -> "IndexTerm":
-        # pullback of x^alpha under x = rho^m
-        return IndexTerm(self.alpha * m, self.p)
-
     def dominates(self, other: "IndexTerm") -> bool:
         """True if `other` is generated by this term plus integer steps.
 
@@ -123,19 +116,8 @@ class IndexSet:
         return IndexSet.of(0, name=name)
 
     # -- algebra --------------------------------------------------------
-    def __add__(self, other: OrderData) -> OrderData:
-        return indexset_sum(self, other)
-
     def shifted(self, c) -> "IndexSet":
         return indexset_shift(self, c)
-
-    def scaled(self, m: int) -> "IndexSet":
-        if m == 0:
-            return IndexSet.smooth()
-        return IndexSet(tuple(t.scaled(m) for t in self.terms), name=self.name)
-
-    def leading(self, n=3, mu0=0) -> IndexTerm:
-        return leading_order(self, n=n, mu0=mu0)
 
     def __iter__(self):
         return iter(self.terms)
@@ -158,14 +140,19 @@ def indexset_shift(e: OrderData, c) -> OrderData:
     """Shift every exponent by c, e.g. the -1/2 half-density normalization."""
     if isinstance(e, InfiniteOrder):
         return INFINITE_ORDER
-    return IndexSet(tuple(t.shifted(c) for t in e.terms), name=e.name)
+    c = affine(c)
+    return IndexSet(tuple(IndexTerm(t.alpha + c, t.p) for t in e.terms),
+                    name=e.name)
 
 
 def indexset_scale(e: OrderData, m: int) -> OrderData:
     """Pull an index set back through x = rho^m (exponents multiply by m)."""
     if isinstance(e, InfiniteOrder):
         return INFINITE_ORDER
-    return e.scaled(m)
+    if m == 0:
+        return IndexSet.smooth()
+    return IndexSet(tuple(IndexTerm(t.alpha * m, t.p) for t in e.terms),
+                    name=e.name)
 
 
 def indexset_union(sets: Iterable[OrderData]) -> OrderData:
@@ -182,8 +169,8 @@ def indexset_union(sets: Iterable[OrderData]) -> OrderData:
 def leading_order(e: OrderData, n=3, mu0=0) -> IndexTerm:
     """Term with minimal exponent; ties resolved by maximal log power.
 
-    Exponents are compared after substituting the configured dimension
-    (default n=3, mu0=0).
+    Exponents are compared after substituting n and mu0 (default n=3,
+    mu0=0, the dimension at which every composition rule orders them).
     """
     if isinstance(e, InfiniteOrder):
         raise ValueError("leading order of the infinite-order sentinel is undefined")

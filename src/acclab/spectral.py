@@ -292,17 +292,16 @@ class EigenResult:
 
 
 def conic_reference_spectrum(family: WarpFamily, count_per_mode: int,
-                             ell_max: Optional[int] = None) -> EigenResult:
-    """Exact limiting spectrum from Bessel zeros, per cross-section mode.
+                             ell_max: int) -> EigenResult:
+    """Exact limiting spectrum from Bessel zeros, per cross-section mode
+    ell <= ell_max.
 
     For the neck profile the tip separates the two cone halves, so every
     eigenvalue is doubled.
     """
     doubling = 2 if family.profile == "neck" else 1
     res = EigenResult(0.0)
-    ells = range(len(family.cross_section)) if ell_max is None \
-        else range(ell_max + 1)
-    for ell in ells:
+    for ell in range(ell_max + 1):
         mu = family.cross_section.mu(ell)
         mult = family.cross_section.multiplicity(ell)
         nu = indicial_roots(family.n, mu, family.c).nu

@@ -1,6 +1,7 @@
 """Command line harness: golden checks, outputs, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -60,6 +61,18 @@ def test_lift_golden_rows(capsys):
 def test_lift_unknown_face(capsys):
     assert run(["lift", "beta_L", "rho_nope"]) == 2
     assert run(["lift", "beta_Q", "rho_110"]) == 2
+
+
+@pytest.mark.parametrize("monomial, message", [
+    ("foo", "cannot parse monomial factor 'foo'"),
+    ("rho_d2^x", "Invalid literal for Fraction: 'x'"),
+    ("rho_d2^1/0", "Fraction\\(1, 0\\)"),
+])
+def test_lift_malformed_monomial_exits_2(capsys, monomial, message):
+    assert run(["lift", "beta_C", monomial]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.match("error: " + message, captured.err)
 
 
 def test_compose_sc_cli(tmp_path, capsys):
@@ -148,6 +161,26 @@ def test_config_rejects_unknown_sections_and_keys(tmp_path, text, message):
     bad.write_text(text)
     with pytest.raises(SystemExit, match="config error: " + message):
         run(["--config", str(bad), "spectrum"])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[model]\nn = three\n", "\\[model\\] n = three: invalid literal"),
+    ("[probes]\ntimes = 0.1,abc\n",
+     "\\[probes\\] times = 0.1,abc: could not convert"),
+    ("[model]\nc = -1\n", "\\[model\\] cone slope c must be positive"),
+    ("[model]\nprofile = neck\nc = -1\n",
+     "\\[model\\] cone slope c must be positive"),
+    ("[model]\nn = 2\n", "\\[model\\] dimension n >= 3 required"),
+    ("n = 3\n", "cannot read .*no section headers"),
+    (None, "cannot read .*No such file"),                 # no file at all
+])
+def test_config_rejects_bad_values(tmp_path, text, message):
+    bad = tmp_path / "bad.ini"
+    if text is not None:
+        bad.write_text(text)
+    for command in (["spectrum"], ["heat", "--regime", "interior"]):
+        with pytest.raises(SystemExit, match="config error: " + message):
+            run(["--config", str(bad), "--out", str(tmp_path)] + command)
 
 
 def test_spectrum_and_flow_outputs(tmp_path, capsys):

@@ -9,10 +9,9 @@ from scipy.special import jv
 
 from acclab.geometry import WarpFamily, indicial_roots, sphere_volume
 from acclab.heat import (TAIL_TOL, ExactConeMode, GridKernel, KernelSample,
-                         PolyKernel, b_cylinder_kernel,
+                         PolyKernel, _probe_result, b_cylinder_kernel,
                          coincident_angular_weight, cone_mode_kernel,
-                         crank_nicolson_mode, euclidean_kernel,
-                         g0_fiber_check, g0_refinement_ratio,
+                         crank_nicolson_mode, euclidean_kernel, g0_fiber_check,
                          half_line_dirichlet_kernel, heat_from_spectrum,
                          interior_probe, max_principle_check, scaled_probe,
                          scaling_identity_defect, t_convolve, volterra_neumann)
@@ -303,6 +302,46 @@ def test_scaled_probe_requires_capped():
         scaled_probe(WarpFamily.neck(n=3, c=1.0), [0.5, 0.4, 0.3])
 
 
+def test_probe_result_strict_decrease():
+    model = np.array([2.0, 1.0])
+    vals = np.array([[2.4, 1.1], [2.2, 1.05], [2.1, 1.02]])
+    res = _probe_result("r", [0.4, 0.2, 0.1], [0.1, 0.5], model, vals, {})
+    assert res.strictly_decreasing
+    assert res.distances == pytest.approx([0.2, 0.1, 0.05])
+    assert res.final_relative == res.distances[-1]
+
+
+def test_probe_result_tie_is_not_a_decrease():
+    # equal distances, as on a family whose kernel sits at the noise floor
+    model = np.array([2.0, 1.0])
+    vals = np.array([[2.4, 1.1], [2.2, 1.05], [2.2, 1.05]])
+    res = _probe_result("r", [0.4, 0.2, 0.1], [0.1, 0.5], model, vals, {})
+    assert res.distances[1] == res.distances[2]
+    assert not res.strictly_decreasing
+
+
+def test_probe_result_distance_is_max_relative_gap_over_time():
+    # the max sits at the second time in row 0 and at the first in row 1;
+    # below-model values count by their absolute gap
+    model = np.array([2.0, -1.0])
+    vals = np.array([[1.6, -1.3], [2.2, -0.95]])
+    res = _probe_result("r", [0.2, 0.1], [0.1, 0.5], model, vals, {"k": 1})
+    assert res.distances == pytest.approx([0.3, 0.1])
+    assert res.final_relative == pytest.approx(0.1)
+    assert res.meta == {"k": 1}
+
+
+def test_probe_result_one_column_scaled_input():
+    schedule = [0.5, 0.4, 0.3]
+    vals = np.array([[1.3], [1.1], [1.01]])
+    res = _probe_result("scaled_F1010", schedule, [0.5], np.array([1.0]),
+                        vals, {})
+    assert res.eps_values.shape == (len(schedule), 1)
+    assert res.times == [0.5]
+    assert res.distances == pytest.approx([0.3, 0.1, 0.01])
+    assert res.strictly_decreasing
+
+
 def test_scaling_identity_flat_ball():
     flat = WarpFamily.capped(n=3, c=1.0)
     for s in (0.5, 0.25, 0.125):
@@ -328,10 +367,6 @@ def test_g0_fiber_residuals():
     assert res["u_hat_at_0"] == pytest.approx(1.0, abs=1e-9)
     assert res["normalized_mass"] == pytest.approx(1.0, abs=1e-10)
     assert res["symmetry_defect"] < 1e-14
-
-
-def test_g0_refinement_second_order():
-    assert g0_refinement_ratio() == pytest.approx(4.0, abs=0.5)
 
 
 # -- Volterra machinery -----------------------------------------------------------
