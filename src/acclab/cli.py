@@ -4,6 +4,12 @@ Subcommands: faces, lift, compose, spectrum, flow, heat, verify-tables.
 Outputs are deterministic (fixed summation orders, no timestamps); floats
 print with 17 significant digits.  Golden tables live in a versioned data
 file next to the package; ACCLAB_DATA_DIR overrides the location.
+
+Import boundary: this module, its parser, `read_config` and the exact
+subcommands (faces, lift, compose, verify-tables) load no numpy or scipy.
+`geometry`, `spectral` and `heat` are imported only inside the functions
+that use them (`family_from_config`, `grid_from_config`, `cmd_spectrum`,
+`cmd_flow`, `cmd_heat`); keep every new numerical import there too.
 """
 
 from __future__ import annotations
@@ -14,16 +20,18 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from . import spaces as _spaces
-from .calculus import (CompositionError, acc_compose, b_compose, conic_compose,
+from .calculus import (CompositionError, acc_compose, b_compose,
+                       canonical_kernel_orders, conic_compose,
                        orders_from_jsonable, orders_to_jsonable, sc_compose,
                        sc_compose_pipeline)
 from .corners import parse_monomial
-from .geometry import WarpFamily
-from .spectral import SLGrid, conic_reference_spectrum, spectral_flow, assemble_spectrum
-from .heat import interior_probe, scaled_probe, scaling_identity_defect
+
+if TYPE_CHECKING:
+    from .geometry import WarpFamily
+    from .spectral import SLGrid
 
 DATA_VERSION = 1
 
@@ -76,9 +84,11 @@ _PARSERS = {
 }
 
 
-def read_config(path: Optional[str]) -> configparser.ConfigParser:
+def read_config(path: Optional[str], reads: str) -> configparser.ConfigParser:
     """The defaults overlaid with the file at `path`, every section, key and
-    value checked; any fault ends the run with a `config error:` message."""
+    value checked, and the ranges of the run section that the command
+    `reads` ("solver" for spectrum and flow, "probes" for heat); any fault
+    ends the run with a `config error:` message."""
     cp = configparser.ConfigParser()
     cp.read_dict(DEFAULT_CONFIG)
     if path:
@@ -87,6 +97,11 @@ def read_config(path: Optional[str]) -> configparser.ConfigParser:
                 cp.read_file(fh)
         except (OSError, configparser.Error) as exc:
             raise SystemExit(f"config error: cannot read {path}: {exc}")
+
+    def reject(section: str, key: str, why) -> None:
+        raise SystemExit(f"config error: [{section}] {key} = "
+                         f"{cp[section][key]}: {why}")
+
     for section in cp.sections():
         known = DEFAULT_CONFIG.get(section)
         if known is None:
@@ -98,8 +113,7 @@ def read_config(path: Optional[str]) -> configparser.ConfigParser:
             try:
                 _PARSERS.get(key, str)(value)
             except ValueError as exc:
-                raise SystemExit(f"config error: [{section}] {key} = "
-                                 f"{value}: {exc}")
+                reject(section, key, exc)
     eps = _float_list(cp["schedule"]["eps"])
     if not eps or any(b >= a for a, b in zip(eps, eps[1:])):
         raise SystemExit("config error: schedule eps must be strictly decreasing")
@@ -107,10 +121,22 @@ def read_config(path: Optional[str]) -> configparser.ConfigParser:
         raise SystemExit("config error: tolerances must be positive")
     if cp["model"]["profile"] not in ("capped", "neck"):
         raise SystemExit(f"config error: unknown profile {cp['model']['profile']}")
+    # values of the right type that the command's solver or probe cannot use
+    top = int(cp["model"]["mode_count"]) - 1
+    if not 0 <= int(cp[reads]["ell_max"]) <= top:
+        reject(reads, "ell_max", f"need 0 <= ell_max <= mode_count - 1 = {top}")
+    if reads == "solver" and int(cp["solver"]["count"]) < 1:
+        reject("solver", "count", "need at least one eigenvalue per mode")
+    if reads == "probes":
+        for key in ("times", "scaled_eps"):
+            values = _float_list(cp["probes"][key])
+            if not values or min(values) <= 0:
+                reject("probes", key, "need a non-empty list of positive values")
     return cp
 
 
 def family_from_config(cp) -> WarpFamily:
+    from .geometry import WarpFamily
     m = cp["model"]
     maker = WarpFamily.capped if m["profile"] == "capped" else WarpFamily.neck
     try:
@@ -118,6 +144,15 @@ def family_from_config(cp) -> WarpFamily:
                      mode_count=int(m["mode_count"]), outer_bc=m["outer_bc"])
     except ValueError as exc:  # a family the model section cannot describe
         raise SystemExit(f"config error: [model] {exc}")
+
+
+def grid_from_config(cp) -> SLGrid:
+    from .spectral import SLGrid
+    grid_n = cp["solver"]["grid_n"]
+    try:
+        return SLGrid(int(grid_n))
+    except ValueError as exc:  # a grid SLGrid refuses, such as too coarse
+        raise SystemExit(f"config error: [solver] grid_n = {grid_n}: {exc}")
 
 
 def _outdir(args) -> Path:
@@ -233,9 +268,10 @@ def cmd_compose(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    cp = read_config(args.config)
+    from .spectral import assemble_spectrum, conic_reference_spectrum
+    cp = read_config(args.config, "solver")
     fam = family_from_config(cp)
-    grid = SLGrid(int(cp["solver"]["grid_n"]))
+    grid = grid_from_config(cp)
     count = int(cp["solver"]["count"])
     ell_max = int(cp["solver"]["ell_max"])
     eps_list = _float_list(cp["schedule"]["eps"])
@@ -256,9 +292,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    cp = read_config(args.config)
+    from .spectral import spectral_flow
+    cp = read_config(args.config, "solver")
     fam = family_from_config(cp)
-    grid = SLGrid(int(cp["solver"]["grid_n"]))
+    grid = grid_from_config(cp)
     flow = spectral_flow(fam, _float_list(cp["schedule"]["eps"]), grid,
                          count=int(cp["solver"]["count"]),
                          ell_max=int(cp["solver"]["ell_max"]),
@@ -290,7 +327,8 @@ def cmd_flow(args) -> int:
 
 
 def cmd_heat(args) -> int:
-    cp = read_config(args.config)
+    from .heat import interior_probe, scaled_probe, scaling_identity_defect
+    cp = read_config(args.config, "probes")
     fam = family_from_config(cp)
     pr = cp["probes"]
     out = _outdir(args)
@@ -307,6 +345,7 @@ def cmd_heat(args) -> int:
                            tau=float(pr["tau"]), ell_max=int(pr["ell_max"]),
                            h=float(pr["h"]), ref_radius=float(pr["ref_radius"]))
     elif regime == "flat_ball":
+        from .geometry import WarpFamily
         defect = max(scaling_identity_defect(WarpFamily.capped(n=fam.n, c=1.0), s)
                      for s in (0.5, 0.25))
         (out / "heat_flat_ball.json").write_text(json.dumps(
@@ -351,7 +390,6 @@ def cmd_verify_tables(args) -> int:
             for r in _spaces.lift_table_rows()]
     if rows != golden["lift_table"]:
         failures.append("lift table")
-    from .calculus import canonical_kernel_orders
     kernels = {k: {f: str(s) for f, s in
                    canonical_kernel_orders(k).leading_orders().items()}
                for k in ("b_heat_kernel", "conic_heat_kernel",

@@ -183,6 +183,28 @@ def test_config_rejects_bad_values(tmp_path, text, message):
             run(["--config", str(bad), "--out", str(tmp_path)] + command)
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("spectrum", "[solver]\ngrid_n = 8\n",
+     "\\[solver\\] grid_n = 8: grid too coarse"),
+    ("spectrum", "[solver]\ngrid_n = -4\n",
+     "\\[solver\\] grid_n = -4: grid too coarse"),
+    ("spectrum", "[solver]\ncount = 0\n", "\\[solver\\] count = 0: "),
+    ("spectrum", "[solver]\nell_max = 40\n",
+     "\\[solver\\] ell_max = 40: need 0 <= ell_max <= mode_count - 1 = 11"),
+    ("heat --regime interior", "[probes]\nell_max = 40\n",
+     "\\[probes\\] ell_max = 40: need 0 <= ell_max <= mode_count - 1 = 11"),
+    ("heat --regime interior", "[probes]\ntimes =\n",
+     "\\[probes\\] times = : need a non-empty list of positive values"),
+    ("heat --regime scaled", "[probes]\nscaled_eps =\n",
+     "\\[probes\\] scaled_eps = : need a non-empty list"),
+])
+def test_config_rejects_out_of_range_values(tmp_path, command, text, message):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    with pytest.raises(SystemExit, match="config error: " + message):
+        run(["--config", str(bad), "--out", str(tmp_path)] + command.split())
+
+
 def test_spectrum_and_flow_outputs(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("\n".join([
@@ -230,3 +252,40 @@ def test_verify_tables_flag_and_bare_invocation(capsys):
     assert run(["--verify-tables"]) == 0
     capsys.readouterr()
     assert run([]) == 2
+
+
+# Runs one command in a fresh interpreter, then prints which of the numerical
+# packages it loaded on its last stdout line.
+_IMPORT_PROBE = """
+import json, sys
+import acclab.cli
+code = acclab.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([code, sorted({"numpy", "scipy"} & set(sys.modules))]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    [],                                       # import acclab, acclab.cli
+    ["faces", "sc_heat"],
+    ["lift", "beta_C", "rho_d2"],
+    ["compose", "--calculus", "sc", "sc.json", "sc.json"],
+    ["compose", "--calculus", "sc", "--pipeline", "sc.json", "sc.json"],
+    ["compose", "--calculus", "acc", "acc.json", "acc.json"],
+    ["verify-tables"],
+])
+def test_exact_subcommands_load_no_numpy_or_scipy(tmp_path, argv):
+    (tmp_path / "sc.json").write_text(json.dumps(
+        {"calculus": "sc", "k": "-2",
+         "faces": {"110": {"terms": [[0, 1, 0]], "step": 1},
+                   "220": {"terms": [[0, 1, 0]], "step": 1}}}))
+    (tmp_path / "acc.json").write_text(json.dumps(
+        {"calculus": "acc", "k": "-2",
+         "faces": {f: {"terms": [[2, 1, 0]], "step": 1}
+                   for f in ("1010", "0101", "1001", "0110")}}))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == []
