@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .corners import BMapSpec, CornerSpace, Monomial
 from .indexsets import (INFINITE_ORDER, IndexSet, IndexTerm, InfiniteOrder,
@@ -165,29 +165,56 @@ def acc_compose(a: CalculusOrders, b: CalculusOrders) -> CalculusOrders:
 # pushforward pipeline
 # ---------------------------------------------------------------------------
 
-def pullback_orders(bmap: BMapSpec, orders: Dict[str, OrderData]) -> Dict[str, OrderData]:
+@dataclass(frozen=True)
+class MapTables:
+    """What the order pipeline reads off a b-map, computed once per map.
+
+    Both tables hold the nonzero lifting exponents e(target, source):
+    `rows` maps each target face to its preimage faces (source face, e),
+    sorted by source face; `columns` maps each source face that carries
+    orders (reconstructed faces are left out) to its (target face, e)
+    pairs, empty when no lift hits it.  `interior` lists the source faces
+    mapping to the target interior, and `fibration` is the verdict of
+    :meth:`BMapSpec.is_b_fibration`.
+    """
+
+    name: str
+    rows: Dict[str, Tuple[Tuple[str, int], ...]]
+    columns: Dict[str, Tuple[Tuple[str, int], ...]]
+    interior: Tuple[str, ...]
+    fibration: Tuple[bool, Optional[Tuple[str, str, str]]]
+
+    @staticmethod
+    def of(bmap: BMapSpec) -> "MapTables":
+        matrix = bmap.lifting_matrix()
+        rows = {g: tuple((f, e) for f, e in bmap.preimage_faces(g) if e)
+                for g in bmap.lifts}
+        columns = {f.name: tuple((g, e) for (g, src), e in matrix.items()
+                                 if src == f.name and e)
+                   for f in bmap.source.faces if not f.reconstructed}
+        return MapTables(bmap.name, rows, columns, tuple(bmap.interior_faces()),
+                         bmap.is_b_fibration())
+
+
+def pullback_orders(lift: MapTables, orders: Dict[str, OrderData]) -> Dict[str, OrderData]:
     """Pull polyhomogeneous orders back through a b-map.
 
     The order at a source face F is the sum over target faces G of the
     order at G scaled by the lifting exponent e(G, F); faces not hit by any
     lift carry the smooth set {(0,0)}.
     """
-    matrix = bmap.lifting_matrix()
     out: Dict[str, OrderData] = {}
-    for f in bmap.source.face_names():
-        if bmap.source.face(f).reconstructed:
-            continue
-        acc: OrderData = IndexSet.smooth()
-        for g, order in orders.items():
-            e = matrix.get((g, f), 0)
-            if e:
-                acc = indexset_sum(acc, indexset_scale(order, e))
-        out[f] = acc
+    for f, column in lift.columns.items():
+        acc: Optional[OrderData] = None
+        for g, e in column:
+            if g in orders:
+                scaled = indexset_scale(orders[g], e)
+                acc = scaled if acc is None else indexset_sum(acc, scaled)
+        out[f] = IndexSet.smooth() if acc is None else acc
     return out
 
 
-def pushforward_orders(space3: CornerSpace, map_c: BMapSpec,
-                       orders: Dict[str, OrderData],
+def pushforward_orders(map_c: MapTables, orders: Dict[str, OrderData],
                        bweight: Monomial) -> Dict[str, OrderData]:
     """Push b-density orders forward along a b-fibration.
 
@@ -201,23 +228,21 @@ def pushforward_orders(space3: CornerSpace, map_c: BMapSpec,
     logarithmic terms; these are not synthesized, only flagged in the
     returned sets' names.
     """
-    ok, witness = map_c.is_b_fibration()
+    ok, witness = map_c.fibration
     if not ok:
         raise CompositionError(f"{map_c.name} is not a b-fibration; "
                                f"source face {witness[0]} maps into the corner "
                                f"{witness[1]} & {witness[2]}")
     weights = bweight.as_dict()
     corrected: Dict[str, OrderData] = {}
-    for f in space3.face_names():
-        if space3.face(f).reconstructed:
-            continue
+    for f in map_c.columns:
         w = weights.get(f)
         o = orders.get(f, IndexSet.smooth())
         if w is not None:
             o = indexset_sum(o, IndexSet.of(w))
         corrected[f] = o
 
-    for f in map_c.interior_faces():
+    for f in map_c.interior:
         if f not in corrected:
             continue
         o = corrected[f]
@@ -230,11 +255,9 @@ def pushforward_orders(space3: CornerSpace, map_c: BMapSpec,
                 f"b-density order {alpha} is not positive")
 
     out: Dict[str, OrderData] = {}
-    for g in map_c.lifts:
+    for g, preimage in map_c.rows.items():
         pieces = []
-        for f, e in map_c.preimage_faces(g):
-            if e == 0:
-                continue
+        for f, e in preimage:
             o = corrected[f]
             if isinstance(o, InfiniteOrder):
                 pieces.append(INFINITE_ORDER)
@@ -257,11 +280,16 @@ def pushforward_orders(space3: CornerSpace, map_c: BMapSpec,
 
 @dataclass
 class ScPipeline:
-    """Cached triple-space data for the scattering composition pipeline."""
+    """Cached triple-space data for the scattering composition pipeline.
+
+    `tables` holds the :class:`MapTables` of the three projections
+    beta_L, beta_R and beta_C, so a composition reads the fixed lifting
+    data instead of rebuilding it from the maps.
+    """
 
     triple: CornerSpace
     double: CornerSpace
-    maps: Dict[str, BMapSpec]
+    tables: Dict[str, MapTables]
     density: Monomial
 
     @staticmethod
@@ -270,7 +298,8 @@ class ScPipeline:
         double = sc_heat_space()
         maps = sc_triple_maps(triple, double)
         density = _pipeline_density(triple, double, maps)
-        return ScPipeline(triple, double, maps, density)
+        tables = {name: MapTables.of(m) for name, m in maps.items()}
+        return ScPipeline(triple, double, tables, density)
 
 
 def _pipeline_density(triple: CornerSpace, double: CornerSpace,
@@ -325,11 +354,10 @@ def sc_compose_pipeline(a: CalculusOrders, b: CalculusOrders) -> CalculusOrders:
     """
     _require_same(a, b, "sc")
     pipe = _pipeline()
-    pa = pullback_orders(pipe.maps["beta_L"], _full_orders(a))
-    pb = pullback_orders(pipe.maps["beta_R"], _full_orders(b))
+    pa = pullback_orders(pipe.tables["beta_L"], _full_orders(a))
+    pb = pullback_orders(pipe.tables["beta_R"], _full_orders(b))
     combined = {f: indexset_sum(pa[f], pb[f]) for f in pa}
-    pushed = pushforward_orders(pipe.triple, pipe.maps["beta_C"], combined,
-                                pipe.density)
+    pushed = pushforward_orders(pipe.tables["beta_C"], combined, pipe.density)
     for side in ("100", "010", "001"):
         if not isinstance(pushed[side], InfiniteOrder):
             raise CompositionError(f"pipeline produced a finite order at the "

@@ -84,6 +84,11 @@ _PARSERS = {
 }
 
 
+def _reject(cp: configparser.ConfigParser, section: str, key: str, why) -> None:
+    raise SystemExit(f"config error: [{section}] {key} = "
+                     f"{cp[section][key]}: {why}")
+
+
 def read_config(path: Optional[str], reads: str) -> configparser.ConfigParser:
     """The defaults overlaid with the file at `path`, every section, key and
     value checked, and the ranges of the run section that the command
@@ -98,10 +103,6 @@ def read_config(path: Optional[str], reads: str) -> configparser.ConfigParser:
         except (OSError, configparser.Error) as exc:
             raise SystemExit(f"config error: cannot read {path}: {exc}")
 
-    def reject(section: str, key: str, why) -> None:
-        raise SystemExit(f"config error: [{section}] {key} = "
-                         f"{cp[section][key]}: {why}")
-
     for section in cp.sections():
         known = DEFAULT_CONFIG.get(section)
         if known is None:
@@ -113,10 +114,12 @@ def read_config(path: Optional[str], reads: str) -> configparser.ConfigParser:
             try:
                 _PARSERS.get(key, str)(value)
             except ValueError as exc:
-                reject(section, key, exc)
+                _reject(cp, section, key, exc)
     eps = _float_list(cp["schedule"]["eps"])
-    if not eps or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise SystemExit("config error: schedule eps must be strictly decreasing")
+    if (not eps or any(not e > 0 for e in eps)
+            or any(b >= a for a, b in zip(eps, eps[1:]))):
+        _reject(cp, "schedule", "eps",
+                "need a strictly decreasing list of positive values")
     if float(cp["solver"]["rel_tol"]) <= 0:
         raise SystemExit("config error: tolerances must be positive")
     if cp["model"]["profile"] not in ("capped", "neck"):
@@ -124,14 +127,19 @@ def read_config(path: Optional[str], reads: str) -> configparser.ConfigParser:
     # values of the right type that the command's solver or probe cannot use
     top = int(cp["model"]["mode_count"]) - 1
     if not 0 <= int(cp[reads]["ell_max"]) <= top:
-        reject(reads, "ell_max", f"need 0 <= ell_max <= mode_count - 1 = {top}")
+        _reject(cp, reads, "ell_max",
+                f"need 0 <= ell_max <= mode_count - 1 = {top}")
     if reads == "solver" and int(cp["solver"]["count"]) < 1:
-        reject("solver", "count", "need at least one eigenvalue per mode")
+        _reject(cp, "solver", "count", "need at least one eigenvalue per mode")
     if reads == "probes":
         for key in ("times", "scaled_eps"):
             values = _float_list(cp["probes"][key])
             if not values or min(values) <= 0:
-                reject("probes", key, "need a non-empty list of positive values")
+                _reject(cp, "probes", key,
+                        "need a non-empty list of positive values")
+        for key in ("rho", "rhop", "tau", "h", "ref_radius"):
+            if not float(cp["probes"][key]) > 0:
+                _reject(cp, "probes", key, "need a positive value")
     return cp
 
 
@@ -144,6 +152,17 @@ def family_from_config(cp) -> WarpFamily:
                      mode_count=int(m["mode_count"]), outer_bc=m["outer_bc"])
     except ValueError as exc:  # a family the model section cannot describe
         raise SystemExit(f"config error: [model] {exc}")
+
+
+def _check_probe_points(cp, fam: WarpFamily) -> None:
+    """`x` and `xprime` must lie in the radial domain that the interior
+    probe solves on, at every eps of the schedule."""
+    for eps in _float_list(cp["schedule"]["eps"]):
+        lo, hi = fam.domain(eps)
+        for key in ("x", "xprime"):
+            if not lo <= float(cp["probes"][key]) <= hi:
+                _reject(cp, "probes", key, f"outside the radial domain "
+                        f"[{lo}, {hi}] of the interior probe at eps = {eps}")
 
 
 def grid_from_config(cp) -> SLGrid:
@@ -292,11 +311,15 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    from .spectral import spectral_flow
+    from .spectral import FLOW_MIN_POINTS, spectral_flow
     cp = read_config(args.config, "solver")
+    eps_list = _float_list(cp["schedule"]["eps"])
+    if len(eps_list) < FLOW_MIN_POINTS:
+        _reject(cp, "schedule", "eps",
+                f"flow needs at least {FLOW_MIN_POINTS} values")
     fam = family_from_config(cp)
     grid = grid_from_config(cp)
-    flow = spectral_flow(fam, _float_list(cp["schedule"]["eps"]), grid,
+    flow = spectral_flow(fam, eps_list, grid,
                          count=int(cp["solver"]["count"]),
                          ell_max=int(cp["solver"]["ell_max"]),
                          rel_tol=float(cp["solver"]["rel_tol"]))
@@ -330,6 +353,8 @@ def cmd_heat(args) -> int:
     from .heat import interior_probe, scaled_probe, scaling_identity_defect
     cp = read_config(args.config, "probes")
     fam = family_from_config(cp)
+    if args.regime == "interior":
+        _check_probe_points(cp, fam)
     pr = cp["probes"]
     out = _outdir(args)
     regime = args.regime

@@ -57,28 +57,48 @@ class IndexTerm:
             raise ValueError(f"log power must be a nonnegative integer: {self.p}")
         object.__setattr__(self, "p", int(self.p))
 
-    def dominates(self, other: "IndexTerm") -> bool:
-        """True if `other` is generated by this term plus integer steps.
-
-        (beta, q) is redundant next to (alpha, p) when beta - alpha is a
-        nonnegative integer multiple of the step and q <= p.
-        """
-        diff = other.alpha - self.alpha
-        return (diff.is_constant() and diff.const.denominator == 1
-                and diff.const >= 0 and other.p <= self.p
-                and (diff.const > 0 or other.p < self.p))
-
     def __str__(self):
         return f"({self.alpha},{self.p})"
 
 
+def _term_order(t: IndexTerm):
+    return t.alpha.sort_key(), t.p
+
+
 def _canonical(terms: Iterable[IndexTerm]) -> Tuple[IndexTerm, ...]:
-    terms = sorted(set(terms), key=lambda t: (t.alpha.sort_key(), t.p))
+    """Sort the generators and drop the redundant ones.
+
+    (beta, q) is redundant next to a different term (alpha, p) when
+    beta - alpha is a nonnegative integer multiple of the step and q <= p:
+    the closure of (alpha, p) already holds it.  So terms compete only
+    within a class of equal (cn, cmu, const mod 1), and a term survives
+    exactly when every different term of its class at an exponent no
+    larger has a smaller log power (exact duplicates count once).
+
+    One sort into the output order (alpha.sort_key(), p) makes the
+    exponents of each class ascend and puts equal exponents (and exact
+    duplicates) next to each other, largest log power last.  One sweep then
+    keeps the last term of each run of equal exponents when its log power
+    exceeds the largest one seen so far in its class.
+    """
+    terms = tuple(terms)
+    if len(terms) < 2:
+        return terms
+    ordered = sorted(terms, key=_term_order)
     keep = []
-    for t in terms:
-        if any(u.dominates(t) for u in terms if u != t):
+    symbol = None  # (cn, cmu) of the classes in `best`
+    best = {}      # const mod 1 -> largest log power so far
+    for t, after in zip(ordered, ordered[1:] + [None]):
+        alpha = t.alpha
+        if after is not None and after.alpha == alpha:
             continue
-        keep.append(t)
+        if (alpha.cn, alpha.cmu) != symbol:
+            symbol, best = (alpha.cn, alpha.cmu), {}
+        c = alpha.const
+        cls = (c.numerator % c.denominator, c.denominator)
+        if t.p > best.get(cls, -1):
+            best[cls] = t.p
+            keep.append(t)
     return tuple(keep)
 
 
@@ -112,8 +132,11 @@ class IndexSet:
 
     @staticmethod
     def smooth(name=None) -> "IndexSet":
-        """The index set of a smooth nonvanishing coefficient: {(0,0)}."""
-        return IndexSet.of(0, name=name)
+        """The index set of a smooth nonvanishing coefficient: {(0,0)}.
+
+        Without a name this is one shared instance (the class is frozen).
+        """
+        return _SMOOTH if name is None else IndexSet.of(0, name=name)
 
     # -- algebra --------------------------------------------------------
     def shifted(self, c) -> "IndexSet":
@@ -127,10 +150,21 @@ class IndexSet:
         return f"{{{body}}}"
 
 
+_SMOOTH = IndexSet.of(0)
+
+
 def indexset_sum(e: OrderData, f: OrderData) -> OrderData:
-    """Minkowski sum: multiplication of the corresponding expansions."""
+    """Minkowski sum: multiplication of the corresponding expansions.
+
+    The result carries no name; an unnamed operand summed with the shared
+    smooth set is returned as it is.
+    """
     if isinstance(e, InfiniteOrder) or isinstance(f, InfiniteOrder):
         return INFINITE_ORDER
+    if e is _SMOOTH and f.name is None:
+        return f
+    if f is _SMOOTH and e.name is None:
+        return e
     terms = [IndexTerm(a.alpha + b.alpha, a.p + b.p)
              for a in e.terms for b in f.terms]
     return IndexSet(tuple(terms))

@@ -408,6 +408,11 @@ def _empirical_rate(schedule: Sequence[float], vals: Sequence[float]) -> float:
     return math.log(abs(d1 / d2)) / math.log(r)
 
 
+#: the fewest eps values `spectral_flow` takes: one per power of the largest
+#: extrapolation model in `curve_powers`
+FLOW_MIN_POINTS = 4
+
+
 def curve_powers(family: WarpFamily, branch: str) -> Tuple[int, ...]:
     """Extrapolation model per curve: even neck branches have no linear
     term (even eigenfunctions see the neck at second order)."""
@@ -428,8 +433,10 @@ def spectral_flow(family: WarpFamily, schedule: Sequence[float], grid: SLGrid,
     ell <= ell_max.
     """
     schedule = list(schedule)
-    if len(schedule) < 4 or any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise SolverError("need a decreasing eps schedule with >= 4 points")
+    if (len(schedule) < FLOW_MIN_POINTS
+            or any(b >= a for a, b in zip(schedule, schedule[1:]))):
+        raise SolverError(f"need a decreasing eps schedule with >= "
+                          f"{FLOW_MIN_POINTS} points")
 
     curves: Dict[CurveKey, List[float]] = {}
     errs: Dict[CurveKey, float] = {}

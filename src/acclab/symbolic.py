@@ -38,16 +38,27 @@ class AffineExpr:
         object.__setattr__(self, "cn", _frac(self.cn))
         object.__setattr__(self, "cmu", _frac(self.cmu))
 
+    @classmethod
+    def _of(cls, const: Fraction, cn: Fraction, cmu: Fraction) -> "AffineExpr":
+        """Build from coefficients that are already Fractions, skipping the
+        coercion of the public constructor (the arithmetic below)."""
+        out = object.__new__(cls)
+        fields = out.__dict__
+        fields["const"] = const
+        fields["cn"] = cn
+        fields["cmu"] = cmu
+        return out
+
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other) -> "AffineExpr":
         other = affine(other)
-        return AffineExpr(self.const + other.const, self.cn + other.cn,
-                          self.cmu + other.cmu)
+        return AffineExpr._of(self.const + other.const, self.cn + other.cn,
+                              self.cmu + other.cmu)
 
     __radd__ = __add__
 
     def __neg__(self) -> "AffineExpr":
-        return AffineExpr(-self.const, -self.cn, -self.cmu)
+        return AffineExpr._of(-self.const, -self.cn, -self.cmu)
 
     def __sub__(self, other) -> "AffineExpr":
         return self + (-affine(other))
@@ -64,13 +75,13 @@ class AffineExpr:
             else:
                 raise TypeError("product of two non-constant affine expressions")
         s = _frac(scalar)
-        return AffineExpr(self.const * s, self.cn * s, self.cmu * s)
+        return AffineExpr._of(self.const * s, self.cn * s, self.cmu * s)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "AffineExpr":
         s = _frac(scalar)
-        return AffineExpr(self.const / s, self.cn / s, self.cmu / s)
+        return AffineExpr._of(self.const / s, self.cn / s, self.cmu / s)
 
     # -- queries ----------------------------------------------------------
     def is_constant(self) -> bool:

@@ -197,6 +197,30 @@ def test_config_rejects_bad_values(tmp_path, text, message):
      "\\[probes\\] times = : need a non-empty list of positive values"),
     ("heat --regime scaled", "[probes]\nscaled_eps =\n",
      "\\[probes\\] scaled_eps = : need a non-empty list"),
+    ("spectrum", "[schedule]\neps = 0.2,-0.1\n",
+     "\\[schedule\\] eps = 0.2,-0.1: need a strictly decreasing list of "
+     "positive values"),
+    ("heat --regime interior", "[schedule]\neps = 0.2,0\n",
+     "\\[schedule\\] eps = 0.2,0: need a strictly decreasing list"),
+    ("flow", "[schedule]\neps = 0.2,0.1,0.05\n",
+     "\\[schedule\\] eps = 0.2,0.1,0.05: flow needs at least 4 values"),
+    ("heat --regime interior", "[probes]\nx = 50\n",
+     "\\[probes\\] x = 50: outside the radial domain \\[0.0, 1.0\\] of the "
+     "interior probe"),
+    ("heat --regime interior", "[probes]\nxprime = -0.25\n",
+     "\\[probes\\] xprime = -0.25: outside the radial domain \\[0.0, 1.0\\]"),
+    ("heat --regime interior", "[model]\nprofile = neck\n[probes]\nx = 1.5\n",
+     "\\[probes\\] x = 1.5: outside the radial domain \\[-1.0, 1.0\\]"),
+    ("heat --regime scaled", "[probes]\nh = 0\n",
+     "\\[probes\\] h = 0: need a positive value"),
+    ("heat --regime scaled", "[probes]\ntau = -1\n",
+     "\\[probes\\] tau = -1: need a positive value"),
+    ("heat --regime scaled", "[probes]\nrho = 0\n",
+     "\\[probes\\] rho = 0: need a positive value"),
+    ("heat --regime scaled", "[probes]\nrhop = -2\n",
+     "\\[probes\\] rhop = -2: need a positive value"),
+    ("heat --regime scaled", "[probes]\nref_radius = 0\n",
+     "\\[probes\\] ref_radius = 0: need a positive value"),
 ])
 def test_config_rejects_out_of_range_values(tmp_path, command, text, message):
     bad = tmp_path / "bad.ini"
