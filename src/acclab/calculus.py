@@ -22,8 +22,7 @@ from .corners import BMapSpec, CornerSpace, Monomial
 from .indexsets import (INFINITE_ORDER, IndexSet, IndexTerm, InfiniteOrder,
                         OrderData, indexset_scale, indexset_shift,
                         indexset_sum, indexset_union, leading_order)
-from .spaces import (heat_half_density_weight, sc_heat_space,
-                     sc_triple_heat_space, sc_triple_maps)
+from .spaces import heat_half_density_weight, sc_triple_maps
 from .symbolic import AffineExpr, MU0, N, affine
 
 
@@ -294,9 +293,8 @@ class ScPipeline:
 
     @staticmethod
     def build() -> "ScPipeline":
-        triple = sc_triple_heat_space()
-        double = sc_heat_space()
-        maps = sc_triple_maps(triple, double)
+        maps = sc_triple_maps()
+        triple, double = maps["beta_C"].source, maps["beta_C"].target
         density = _pipeline_density(triple, double, maps)
         tables = {name: MapTables.of(m) for name, m in maps.items()}
         return ScPipeline(triple, double, tables, density)

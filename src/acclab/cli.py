@@ -8,14 +8,16 @@ file next to the package; ACCLAB_DATA_DIR overrides the location.
 Import boundary: this module, its parser, `read_config` and the exact
 subcommands (faces, lift, compose, verify-tables) load no numpy or scipy.
 `geometry`, `spectral` and `heat` are imported only inside the functions
-that use them (`family_from_config`, `grid_from_config`, `cmd_spectrum`,
-`cmd_flow`, `cmd_heat`); keep every new numerical import there too.
+that use them (`family_from_config`, `grid_from_config`, `_numerical`,
+`cmd_spectrum`, `cmd_flow`, `cmd_heat`); keep every new numerical import
+there too.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import os
 import sys
@@ -156,13 +158,18 @@ def family_from_config(cp) -> WarpFamily:
 
 def _check_probe_points(cp, fam: WarpFamily) -> None:
     """`x` and `xprime` must lie in the radial domain that the interior
-    probe solves on, at every eps of the schedule."""
+    probe solves on, at every eps of the schedule, and off the cone tip:
+    the conic limit kernel is defined for x > 0 only."""
     for eps in _float_list(cp["schedule"]["eps"]):
         lo, hi = fam.domain(eps)
         for key in ("x", "xprime"):
             if not lo <= float(cp["probes"][key]) <= hi:
                 _reject(cp, "probes", key, f"outside the radial domain "
                         f"[{lo}, {hi}] of the interior probe at eps = {eps}")
+    for key in ("x", "xprime"):
+        if not float(cp["probes"][key]) > 0:
+            _reject(cp, "probes", key, "need a positive value: the conic "
+                    "limit kernel is defined for x > 0 only")
 
 
 def grid_from_config(cp) -> SLGrid:
@@ -172,6 +179,20 @@ def grid_from_config(cp) -> SLGrid:
         return SLGrid(int(grid_n))
     except ValueError as exc:  # a grid SLGrid refuses, such as too coarse
         raise SystemExit(f"config error: [solver] grid_n = {grid_n}: {exc}")
+
+
+def _numerical(cmd):
+    """A numerical subcommand whose solver refusal (`SolverError`) ends the
+    run with one `solver error:` line on stderr and exit code 3."""
+    @functools.wraps(cmd)
+    def run(args) -> int:
+        from .spectral import SolverError
+        try:
+            return cmd(args)
+        except SolverError as exc:
+            print(f"solver error: {exc}", file=sys.stderr)
+            return 3
+    return run
 
 
 def _outdir(args) -> Path:
@@ -286,6 +307,7 @@ def cmd_compose(args) -> int:
     return 0
 
 
+@_numerical
 def cmd_spectrum(args) -> int:
     from .spectral import assemble_spectrum, conic_reference_spectrum
     cp = read_config(args.config, "solver")
@@ -310,6 +332,7 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+@_numerical
 def cmd_flow(args) -> int:
     from .spectral import FLOW_MIN_POINTS, spectral_flow
     cp = read_config(args.config, "solver")
@@ -349,6 +372,7 @@ def cmd_flow(args) -> int:
     return 0 if both and v["multiplicities_match"] else 1
 
 
+@_numerical
 def cmd_heat(args) -> int:
     from .heat import interior_probe, scaled_probe, scaling_identity_defect
     cp = read_config(args.config, "probes")
@@ -439,9 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="conic-degeneration bookkeeping and spectral verification")
     ap.add_argument("--config", help="INI experiment configuration")
     ap.add_argument("--out", help="output directory (default ./out)")
-    ap.add_argument("--verify-tables", action="store_true",
-                    dest="verify_tables_flag",
-                    help="run every golden-table check and exit")
     sub = ap.add_subparsers(dest="command", required=False)
 
     p = sub.add_parser("faces", help="face inventory of a canonical space")
@@ -480,8 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.verify_tables_flag:
-        return cmd_verify_tables(args)
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .symbolic import AffineExpr, affine
 
@@ -153,7 +153,6 @@ class Face:
     codim: Optional[AffineExpr] = None
     geometry: Optional[str] = None
     reconstructed: bool = False
-    rep: Optional[Representative] = None
 
 
 @dataclass(frozen=True)
@@ -171,19 +170,12 @@ class BlowupCenter:
     vanishing: Tuple[Tuple[str, int], ...] = ()
     parabolic: FrozenSet[str] = frozenset()
     codim: AffineExpr = affine(2)
-    diagonal_tag: Optional[str] = None
 
     @staticmethod
-    def make(faces=(), vanishing=None, parabolic=(), codim=2, tag=None):
+    def make(faces=(), vanishing=None, parabolic=(), codim=2):
         van = tuple(sorted((vanishing or {}).items()))
         return BlowupCenter(frozenset(faces), van, frozenset(parabolic),
-                            affine(codim), tag)
-
-    def is_parabolic(self) -> bool:
-        return bool(self.parabolic)
-
-    def n_parabolic(self) -> int:
-        return len(self.parabolic)
+                            affine(codim))
 
 
 @dataclass(frozen=True)
@@ -268,19 +260,17 @@ class CornerSpace:
         return orders
 
     def blow_up(self, center: BlowupCenter, name: str,
-                origin: Optional[str] = None, geometry: Optional[str] = None,
-                rep: Optional[Representative] = None) -> None:
+                geometry: Optional[str] = None) -> None:
         """Blow up `center`, appending the face `name` and updating lifts."""
         if self.has_face(name):
             raise BMapError(f"{self.name}: face {name!r} already exists")
-        if origin is None:
-            origin = ORIGIN_PARABOLIC if center.is_parabolic() else ORIGIN_RADIAL
+        origin = ORIGIN_PARABOLIC if center.parabolic else ORIGIN_RADIAL
         orders = self.vanishing_orders(center)
         for comp, w in orders.items():
             if w:
                 self.components[comp] = self.components[comp].times_face(name, w)
         self.faces.append(Face(name, origin, codim=center.codim,
-                               geometry=geometry, rep=rep))
+                               geometry=geometry))
         self.history.append(HistoryEvent(center, name,
                                          tuple(sorted(orders.items()))))
 
@@ -332,7 +322,7 @@ class CornerSpace:
             return self.jacobian_overrides[face_name]
         for ev in self.history:
             if ev.face_name == face_name:
-                return ev.center.codim - 1 + ev.center.n_parabolic()
+                return ev.center.codim - 1 + len(ev.center.parabolic)
         face = self.face(face_name)
         if face.origin == ORIGIN_BOUNDARY:
             return affine(0)
@@ -349,58 +339,6 @@ class CornerSpace:
             out = out.times_face(ev.face_name,
                                  self.jacobian_exponent(ev.face_name))
         return out
-
-    # -- serialization / replay ---------------------------------------------
-    def to_dict(self) -> dict:
-        def aff(e: AffineExpr):
-            return [str(e.const), str(e.cn), str(e.cmu)]
-
-        return {
-            "name": self.name,
-            "faces": [{
-                "name": f.name, "origin": f.origin,
-                "codim": None if f.codim is None else aff(f.codim),
-                "geometry": f.geometry, "reconstructed": f.reconstructed,
-            } for f in self.faces],
-            "scalar_vars": list(self.scalar_vars),
-            "components": {k: {fn: aff(e) for fn, e in m.exponents}
-                           for k, m in self.components.items()},
-            "history": [{
-                "face": ev.face_name,
-                "faces": sorted(ev.center.contained_in_faces),
-                "vanishing": {k: v for k, v in ev.center.vanishing},
-                "parabolic": sorted(ev.center.parabolic),
-                "codim": aff(ev.center.codim),
-                "tag": ev.center.diagonal_tag,
-            } for ev in self.history],
-        }
-
-    def replay(self) -> "CornerSpace":
-        """Rebuild a space from scratch by replaying its recorded history."""
-        fresh = CornerSpace(self.name)
-        for f in self.faces:
-            if f.origin == ORIGIN_BOUNDARY:
-                fresh.faces.append(f)
-        for comp, mono in self.components.items():
-            init = {fn: e for fn, e in mono.exponents
-                    if fresh.has_face(fn)}
-            # keep only the exponents at original faces: blowup faces are re-added
-            blown = {ev.face_name for ev in self.history}
-            init = {fn: e for fn, e in init.items() if fn not in blown}
-            fresh.components[comp] = Monomial.from_dict(init)
-        fresh.scalar_vars = self.scalar_vars
-        fresh.jacobian_overrides = dict(self.jacobian_overrides)
-        for ev in self.history:
-            face = self.face(ev.face_name)
-            fresh.blow_up(ev.center, ev.face_name, origin=face.origin,
-                          geometry=face.geometry, rep=face.rep)
-        for f in self.faces:
-            if f.reconstructed:
-                fresh.faces.append(f)
-        fresh.display_faces = self.display_faces
-        fresh.corners = list(self.corners)
-        fresh.notes = list(self.notes)
-        return fresh
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +403,3 @@ class BMapSpec:
                 column[sface] = tface
         return True, None
 
-
-def compose_lifts(maps: Sequence[BMapSpec], m: Monomial) -> Monomial:
-    """Lift a monomial through a chain of maps, target-to-source order."""
-    out = m
-    for bmap in maps:
-        out = bmap.lift_monomial(out)
-    return out

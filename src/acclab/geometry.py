@@ -48,7 +48,6 @@ def sphere_volume(d: int) -> float:
 class CrossSection:
     """Spectrum of the cross-section Laplacian: (mu, multiplicity) pairs."""
 
-    kind: str
     modes: Tuple[Tuple[float, int], ...]
     volume: Optional[float] = None
 
@@ -67,12 +66,11 @@ class CrossSection:
         modes = tuple((ell * (ell + dim_y - 1) / scale ** 2,
                        sphere_multiplicity(dim_y, ell))
                       for ell in range(count))
-        return CrossSection("round_sphere", modes,
-                            volume=sphere_volume(dim_y) * scale ** dim_y)
+        return CrossSection(modes, volume=sphere_volume(dim_y) * scale ** dim_y)
 
     @staticmethod
     def explicit(modes, volume=None) -> "CrossSection":
-        return CrossSection("explicit_modes", tuple(modes), volume=volume)
+        return CrossSection(tuple(modes), volume=volume)
 
     def mu(self, ell: int) -> float:
         return self.modes[ell][0]

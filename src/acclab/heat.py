@@ -209,34 +209,6 @@ def crank_nicolson_mode(op, grid: SLGrid, xp: float, times: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# kernel samples
-# ---------------------------------------------------------------------------
-
-@dataclass
-class KernelSample:
-    """Sampled kernel values with regime and normalization tags."""
-
-    points: List[Tuple[float, float]]
-    times: List[float]
-    values: np.ndarray  # shape (len(points), len(times))
-    regime: str  # interior_F0101 | scaled_F1010 | side
-    normalization: str = "function_kernel"
-
-    def symmetry_defect(self, lookup: Dict[Tuple[float, float, float], float]) -> float:
-        out = 0.0
-        for (x, xp), _ in zip(self.points, range(len(self.points))):
-            for t in self.times:
-                a = lookup.get((x, xp, t))
-                b = lookup.get((xp, x, t))
-                if a is not None and b is not None:
-                    out = max(out, abs(a - b) / max(1e-300, abs(a), abs(b)))
-        return out
-
-    def positivity_ok(self) -> bool:
-        return bool(np.all(self.values > -1e-12 * np.max(np.abs(self.values))))
-
-
-# ---------------------------------------------------------------------------
 # degeneration probes
 # ---------------------------------------------------------------------------
 
@@ -323,7 +295,9 @@ def _truncated_mode_solution(family: WarpFamily, mu: float, radius: float,
     n = int(round(radius / h))
     if abs(n * h - radius) > 1e-12:
         raise SolverError("truncation radius must be a grid multiple")
-    n = max(n, 16)
+    if n < 16:
+        raise SolverError(f"grid step h = {h} leaves {n} cells on the "
+                          f"truncation radius {radius}; need at least 16")
     return solve_mode(op, SLGrid(n), lam_top=lam_top)
 
 

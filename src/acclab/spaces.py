@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .corners import (BMapError, BMapSpec, BlowupCenter, CornerSpace, Face,
                       Monomial, ORIGIN_RECONSTRUCTED, Representative)
@@ -29,7 +29,6 @@ REP_X1 = Representative((("x1", 1),), 1)
 REP_X2 = Representative((("x2", 1),), 1)
 REP_T1 = Representative((("t1", 1),), 1)
 REP_110 = Representative((("x1", 2), ("x2", 2)), 2)
-REP_112 = Representative((("x1", 4), ("x2", 4), ("t1", 2)), 4)
 REP_220 = Representative((("x1", 2), ("x2", 2), ("dY12", 2)), 2)
 REP_D2 = Representative((("dZ12", 4), ("t1", 2)), 4)
 
@@ -48,12 +47,11 @@ def b_heat_space() -> CornerSpace:
     """Heat space of a manifold with cylindrical ends: 5 boundary faces."""
     sp = _double_base("b_heat")
     sp.blow_up(BlowupCenter.make(faces=("100", "010"), codim=2),
-               "110", geometry="N+(Y x Y) x R+", rep=REP_110)
+               "110", geometry="N+(Y x Y) x R+")
     sp.blow_up(BlowupCenter.make(faces=("001",),
                                  vanishing={"dZ12": 1, "dY12": 1},
-                                 parabolic=("001",), codim=N + 1,
-                                 tag="Delta(M x M) x {t=0}"),
-               "d2", geometry="PN+_t(Delta(M x M))", rep=REP_D2)
+                                 parabolic=("001",), codim=N + 1),
+               "d2", geometry="PN+_t(Delta(M x M))")
     sp.display_faces = ["110", "d2", "100", "010", "001"]
     return sp
 
@@ -62,14 +60,12 @@ def conic_heat_space() -> CornerSpace:
     """Heat space of a compact manifold with one conic point: 5 faces."""
     sp = _double_base("conic_heat")
     sp.blow_up(BlowupCenter.make(faces=("100", "010", "001"),
-                                 parabolic=("001",), codim=3,
-                                 tag="Y x Y x {t=0}"),
-               "112", geometry="PN+_t(Y x Y)", rep=REP_112)
+                                 parabolic=("001",), codim=3),
+               "112", geometry="PN+_t(Y x Y)")
     sp.blow_up(BlowupCenter.make(faces=("001",),
                                  vanishing={"dZ12": 1, "dY12": 1},
-                                 parabolic=("001",), codim=N + 1,
-                                 tag="Delta x {t=0}"),
-               "d2", geometry="PN+_t(Delta)", rep=REP_D2)
+                                 parabolic=("001",), codim=N + 1),
+               "d2", geometry="PN+_t(Delta)")
     sp.display_faces = ["112", "d2", "100", "010", "001"]
     return sp
 
@@ -78,16 +74,15 @@ def sc_heat_space() -> CornerSpace:
     """Heat space of an asymptotically conic scattering space: 6 faces."""
     sp = _double_base("sc_heat")
     sp.blow_up(BlowupCenter.make(faces=("100", "010"), codim=2),
-               "110", geometry="N+((Y x Y) - Delta(Y x Y)) x R+", rep=REP_110)
+               "110", geometry="N+((Y x Y) - Delta(Y x Y)) x R+")
     sp.blow_up(BlowupCenter.make(faces=("110",),
                                  vanishing={"dY12": 1, "dZ12": 1},
-                                 codim=N + 1, tag="Delta(Y x Y) in F_110"),
-               "220", geometry="N+(Delta(Y x Y)) x R+", rep=REP_220)
+                                 codim=N + 1),
+               "220", geometry="N+(Delta(Y x Y)) x R+")
     sp.blow_up(BlowupCenter.make(faces=("001",),
                                  vanishing={"dZ12": 1, "dY12": 1},
-                                 parabolic=("001",), codim=N + 1,
-                                 tag="Delta(Z x Z) x {t=0}"),
-               "d2", geometry="PN+_t(Delta(Z x Z))", rep=REP_D2)
+                                 parabolic=("001",), codim=N + 1),
+               "d2", geometry="PN+_t(Delta(Z x Z))")
     sp.display_faces = ["220", "110", "100", "010", "d2", "001"]
     sp.notes.append("published face table prints the second row's label as "
                     "F_220; its defining function (x^2+(x')^2)^(1/2) "
@@ -97,15 +92,11 @@ def sc_heat_space() -> CornerSpace:
 
 DOUBLE_FACE_REPS = {
     "100": REP_X1, "010": REP_X2, "001": REP_T1,
-    "110": REP_110, "112": REP_112, "220": REP_220, "d2": REP_D2,
+    "110": REP_110, "220": REP_220, "d2": REP_D2,
 }
 
-# creation order of the heat-space faces (latest first for extras division)
-_DOUBLE_REVERSE_ORDER = {
-    "b_heat": ["d2", "110", "100", "010", "001"],
-    "conic_heat": ["d2", "112", "100", "010", "001"],
-    "sc_heat": ["d2", "220", "110", "100", "010", "001"],
-}
+# creation order of the sc heat-space faces (latest first for extras division)
+_SC_REVERSE_ORDER = ["d2", "220", "110", "100", "010", "001"]
 
 
 def heat_half_density_weight(space: CornerSpace) -> Monomial:
@@ -150,16 +141,16 @@ def sc_triple_heat_space() -> CornerSpace:
         faces=("11100",),
         vanishing={"dY12": 1, "dY13": 1, "dY23": 1,
                    "dZ12": 1, "dZ13": 1, "dZ23": 1},
-        codim=2 * N + 1, tag="triple Y diagonal in F_11100"), "22200")
+        codim=2 * N + 1), "22200")  # triple Y diagonal in F_11100
     sp.blow_up(BlowupCenter.make(faces=("11000",),
                                  vanishing={"dY12": 1, "dZ12": 1},
-                                 codim=N + 1, tag="Y diagonal (1,2)"), "22000")
+                                 codim=N + 1), "22000")  # Y diagonal (1,2)
     sp.blow_up(BlowupCenter.make(faces=("01100",),
                                  vanishing={"dY23": 1, "dZ23": 1},
-                                 codim=N + 1, tag="Y diagonal (2,3)"), "02200")
+                                 codim=N + 1), "02200")  # Y diagonal (2,3)
     sp.blow_up(BlowupCenter.make(faces=("10100",),
                                  vanishing={"dY13": 1, "dZ13": 1},
-                                 codim=N + 1, tag="Y diagonal (1,3)"), "20200")
+                                 codim=N + 1), "20200")  # Y diagonal (1,3)
     # corner of the time quadrant; its defining function is the total time
     sp.blow_up(BlowupCenter.make(faces=("00010", "00001"),
                                  vanishing={"t3": 1}, codim=2), "00011")
@@ -168,20 +159,20 @@ def sc_triple_heat_space() -> CornerSpace:
         faces=("00011",),
         vanishing={"dZ12": 1, "dZ13": 1, "dZ23": 1,
                    "dY12": 1, "dY13": 1, "dY23": 1},
-        parabolic=("00011",), codim=2 * N + 3,
-        tag="triple diagonal at total time 0"), "d3")
+        parabolic=("00011",), codim=2 * N + 3),
+        "d3")  # triple diagonal at total time 0
     sp.blow_up(BlowupCenter.make(faces=("00010",),
                                  vanishing={"dZ12": 1, "dY12": 1},
-                                 parabolic=("00010",), codim=N + 1,
-                                 tag="diagonal (1,2) at t=0"), "d20")
+                                 parabolic=("00010",), codim=N + 1),
+               "d20")  # diagonal (1,2) at t=0
     sp.blow_up(BlowupCenter.make(faces=("00001",),
                                  vanishing={"dZ23": 1, "dY23": 1},
-                                 parabolic=("00001",), codim=N + 1,
-                                 tag="diagonal (2,3) at t'=0"), "d02")
+                                 parabolic=("00001",), codim=N + 1),
+               "d02")  # diagonal (2,3) at t'=0
     sp.blow_up(BlowupCenter.make(faces=("00011",),
                                  vanishing={"dZ13": 1, "dY13": 1},
-                                 parabolic=("00011",), codim=N + 1,
-                                 tag="diagonal (1,3) at total time 0"), "d22")
+                                 parabolic=("00011",), codim=N + 1),
+               "d22")  # diagonal (1,3) at total time 0
 
     # calibrated against the published half-density display (the codim-1
     # default for the stated center gives 2n)
@@ -217,20 +208,19 @@ def _relabel(rep: Representative, mapping: Dict[str, str]) -> Representative:
                           rep.root)
 
 
-def sc_triple_maps(triple: Optional[CornerSpace] = None,
-                   double: Optional[CornerSpace] = None) -> Dict[str, BMapSpec]:
+def sc_triple_maps() -> Dict[str, BMapSpec]:
     """Mechanically derived projections beta_L, beta_R, beta_C.
 
     Each target defining function rho_G is lifted by writing it as its
     radial representative divided by the later-created face factors that the
     representative also picks up on the double space.
     """
-    triple = triple or sc_triple_heat_space()
-    double = double or sc_heat_space()
+    triple = sc_triple_heat_space()
+    double = sc_heat_space()
     out = {}
     for name, mapping in _PROJECTIONS.items():
         lifts: Dict[str, Monomial] = {}
-        for g in _DOUBLE_REVERSE_ORDER["sc_heat"]:
+        for g in _SC_REVERSE_ORDER:
             rep = DOUBLE_FACE_REPS[g]
             lift3 = triple.lift_representative(_relabel(rep, mapping))
             lift2 = double.lift_representative(rep)
@@ -407,16 +397,16 @@ def acc_triple_heat_space() -> CornerSpace:
         faces=("ts",), parabolic=("ts",),
         vanishing={"dZ12": 1, "dZ13": 1, "dZ23": 1,
                    "dY12": 1, "dY13": 1, "dY23": 1},
-        codim=2 * N + 3, tag="lifted triple diagonal at total time 0"), "td")
+        codim=2 * N + 3), "td")  # lifted triple diagonal at total time 0
     sp.blow_up(BlowupCenter.make(faces=("bt",), parabolic=("bt",),
                                  vanishing={"dZ12": 1, "dY12": 1},
-                                 codim=N + 1, tag="lifted diagonal (1,2)"), "d20")
+                                 codim=N + 1), "d20")  # lifted diagonal (1,2)
     sp.blow_up(BlowupCenter.make(faces=("bs",), parabolic=("bs",),
                                  vanishing={"dZ23": 1, "dY23": 1},
-                                 codim=N + 1, tag="lifted diagonal (2,3)"), "d02")
+                                 codim=N + 1), "d02")  # lifted diagonal (2,3)
     sp.blow_up(BlowupCenter.make(faces=("ts",), parabolic=("ts",),
                                  vanishing={"dZ13": 1, "dY13": 1},
-                                 codim=N + 1, tag="lifted diagonal (1,3)"), "d22")
+                                 codim=N + 1), "d22")  # lifted diagonal (1,3)
     sp.display_faces = ["11122", "11020", "01102", "10122", "111", "110",
                         "011", "101", "td", "d20", "d02", "d22"]
     sp.notes.append("restricted to {eps1 = eps2 = eps3}; only the twelve "

@@ -211,6 +211,11 @@ def test_config_rejects_bad_values(tmp_path, text, message):
      "\\[probes\\] xprime = -0.25: outside the radial domain \\[0.0, 1.0\\]"),
     ("heat --regime interior", "[model]\nprofile = neck\n[probes]\nx = 1.5\n",
      "\\[probes\\] x = 1.5: outside the radial domain \\[-1.0, 1.0\\]"),
+    ("heat --regime interior", "[probes]\nx = 0\n",
+     "\\[probes\\] x = 0: need a positive value"),
+    ("heat --regime interior",
+     "[model]\nprofile = neck\nc = 0.8\n[probes]\nx = -0.5\nxprime = -0.5\n",
+     "\\[probes\\] x = -0.5: need a positive value"),
     ("heat --regime scaled", "[probes]\nh = 0\n",
      "\\[probes\\] h = 0: need a positive value"),
     ("heat --regime scaled", "[probes]\ntau = -1\n",
@@ -227,6 +232,17 @@ def test_config_rejects_out_of_range_values(tmp_path, command, text, message):
     bad.write_text(text)
     with pytest.raises(SystemExit, match="config error: " + message):
         run(["--config", str(bad), "--out", str(tmp_path)] + command.split())
+
+
+@pytest.mark.parametrize("text", ["[probes]\nh = 0.3\n", "[probes]\nrho = 5\n"])
+def test_solver_refusal_exits_3_with_message(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    assert run(["--config", str(cfg), "--out", str(tmp_path),
+                "heat", "--regime", "scaled"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_spectrum_and_flow_outputs(tmp_path, capsys):
@@ -272,9 +288,7 @@ def test_data_dir_override(tmp_path, monkeypatch):
         run(["verify-tables"])
 
 
-def test_verify_tables_flag_and_bare_invocation(capsys):
-    assert run(["--verify-tables"]) == 0
-    capsys.readouterr()
+def test_verify_tables_flag_and_bare_invocation():
     assert run([]) == 2
 
 

@@ -1,4 +1,4 @@
-"""Blowup machinery: lifts, replay, order independence, densities."""
+"""Blowup machinery: lifts, order independence, densities."""
 
 import pytest
 
@@ -49,17 +49,6 @@ def test_blowup_away_from_scalars_changes_no_lift():
     sp.blow_up(BlowupCenter.make(faces=(), vanishing={}, codim=2), "extra")
     after = {k: str(v) for k, v in sp.components.items()}
     assert before == after
-
-
-def test_replay_determinism():
-    for build in (b_heat_space, conic_heat_space, sc_heat_space,
-                  sc_triple_heat_space):
-        sp = build()
-        re = sp.replay()
-        assert [f.name for f in re.faces] == [f.name for f in sp.faces]
-        assert {k: str(v) for k, v in re.components.items()} \
-            == {k: str(v) for k, v in sp.components.items()}
-        assert sp.to_dict() == re.to_dict()
 
 
 def test_blowup_order_independence_b_heat():

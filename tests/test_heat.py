@@ -8,8 +8,8 @@ import pytest
 from scipy.special import jv
 
 from acclab.geometry import WarpFamily, indicial_roots, sphere_volume
-from acclab.heat import (TAIL_TOL, ExactConeMode, GridKernel, KernelSample,
-                         PolyKernel, _probe_result, b_cylinder_kernel,
+from acclab.heat import (TAIL_TOL, ExactConeMode, GridKernel, PolyKernel,
+                         _probe_result, b_cylinder_kernel,
                          coincident_angular_weight, cone_mode_kernel,
                          crank_nicolson_mode, euclidean_kernel, g0_fiber_check,
                          half_line_dirichlet_kernel, heat_from_spectrum,
@@ -297,6 +297,13 @@ def test_scaled_probe_detects_tight_truncation():
                      h=1 / 64, ref_radius=2.0)
 
 
+def test_scaled_probe_refuses_a_grid_coarser_than_16_cells():
+    # 2 ref_radius = 2 is 4 steps of h = 0.5: no silent switch to 16 cells
+    fam = WarpFamily.capped(n=3, c=0.8, mode_count=10)
+    with pytest.raises(SolverError, match="h = 0.5 leaves 4 cells"):
+        scaled_probe(fam, [0.5], ell_max=2, h=0.5, ref_radius=1.0)
+
+
 def test_scaled_probe_requires_capped():
     with pytest.raises(SolverError, match="capped"):
         scaled_probe(WarpFamily.neck(n=3, c=1.0), [0.5, 0.4, 0.3])
@@ -346,16 +353,6 @@ def test_scaling_identity_flat_ball():
     flat = WarpFamily.capped(n=3, c=1.0)
     for s in (0.5, 0.25, 0.125):
         assert scaling_identity_defect(flat, s) < 1e-8
-
-
-def test_kernel_sample_validation():
-    pts = [(0.3, 0.5), (0.5, 0.3)]
-    times = [0.1]
-    v1 = cone_mode_kernel(0.5, 3, 0.3, 0.5, 0.1)
-    sample = KernelSample(pts, times, np.array([[v1], [v1]]), "interior_F0101")
-    lookup = {(0.3, 0.5, 0.1): v1, (0.5, 0.3, 0.1): v1}
-    assert sample.symmetry_defect(lookup) < 1e-12
-    assert sample.positivity_ok()
 
 
 # -- fiber model checks ---------------------------------------------------------

@@ -144,14 +144,6 @@ def test_interior_faces_of_center_projection():
     assert "11100" not in interior
 
 
-def test_compose_lifts_through_chain():
-    from acclab.corners import compose_lifts
-    maps = sc_triple_maps()
-    m = parse_monomial("rho_110*rho_d2^2")
-    out = compose_lifts([maps["beta_L"]], m)
-    assert str(out) == str(maps["beta_L"].lift_monomial(m))
-    assert str(compose_lifts([], m)) == str(m)  # identity chain
-
 
 def test_assemble_positive_for_dirichlet():
     from acclab.geometry import WarpFamily
