@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .corners import BMapSpec, CornerSpace, Monomial
 from .indexsets import (INFINITE_ORDER, IndexSet, IndexTerm, InfiniteOrder,
@@ -164,38 +164,7 @@ def acc_compose(a: CalculusOrders, b: CalculusOrders) -> CalculusOrders:
 # pushforward pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MapTables:
-    """What the order pipeline reads off a b-map, computed once per map.
-
-    Both tables hold the nonzero lifting exponents e(target, source):
-    `rows` maps each target face to its preimage faces (source face, e),
-    sorted by source face; `columns` maps each source face that carries
-    orders (reconstructed faces are left out) to its (target face, e)
-    pairs, empty when no lift hits it.  `interior` lists the source faces
-    mapping to the target interior, and `fibration` is the verdict of
-    :meth:`BMapSpec.is_b_fibration`.
-    """
-
-    name: str
-    rows: Dict[str, Tuple[Tuple[str, int], ...]]
-    columns: Dict[str, Tuple[Tuple[str, int], ...]]
-    interior: Tuple[str, ...]
-    fibration: Tuple[bool, Optional[Tuple[str, str, str]]]
-
-    @staticmethod
-    def of(bmap: BMapSpec) -> "MapTables":
-        matrix = bmap.lifting_matrix()
-        rows = {g: tuple((f, e) for f, e in bmap.preimage_faces(g) if e)
-                for g in bmap.lifts}
-        columns = {f.name: tuple((g, e) for (g, src), e in matrix.items()
-                                 if src == f.name and e)
-                   for f in bmap.source.faces if not f.reconstructed}
-        return MapTables(bmap.name, rows, columns, tuple(bmap.interior_faces()),
-                         bmap.is_b_fibration())
-
-
-def pullback_orders(lift: MapTables, orders: Dict[str, OrderData]) -> Dict[str, OrderData]:
+def pullback_orders(lift: BMapSpec, orders: Dict[str, OrderData]) -> Dict[str, OrderData]:
     """Pull polyhomogeneous orders back through a b-map.
 
     The order at a source face F is the sum over target faces G of the
@@ -213,7 +182,7 @@ def pullback_orders(lift: MapTables, orders: Dict[str, OrderData]) -> Dict[str, 
     return out
 
 
-def pushforward_orders(map_c: MapTables, orders: Dict[str, OrderData],
+def pushforward_orders(map_c: BMapSpec, orders: Dict[str, OrderData],
                        bweight: Monomial) -> Dict[str, OrderData]:
     """Push b-density orders forward along a b-fibration.
 
@@ -227,7 +196,7 @@ def pushforward_orders(map_c: MapTables, orders: Dict[str, OrderData],
     logarithmic terms; these are not synthesized, only flagged in the
     returned sets' names.
     """
-    ok, witness = map_c.fibration
+    ok, witness = map_c.is_b_fibration()
     if not ok:
         raise CompositionError(f"{map_c.name} is not a b-fibration; "
                                f"source face {witness[0]} maps into the corner "
@@ -241,7 +210,7 @@ def pushforward_orders(map_c: MapTables, orders: Dict[str, OrderData],
             o = indexset_sum(o, IndexSet.of(w))
         corrected[f] = o
 
-    for f in map_c.interior:
+    for f in map_c.interior_faces():
         if f not in corrected:
             continue
         o = corrected[f]
@@ -279,25 +248,21 @@ def pushforward_orders(map_c: MapTables, orders: Dict[str, OrderData],
 
 @dataclass
 class ScPipeline:
-    """Cached triple-space data for the scattering composition pipeline.
-
-    `tables` holds the :class:`MapTables` of the three projections
-    beta_L, beta_R and beta_C, so a composition reads the fixed lifting
-    data instead of rebuilding it from the maps.
-    """
+    """Cached triple-space data for the scattering composition pipeline:
+    the three projections beta_L, beta_R and beta_C, whose lifting tables
+    are read once, and the total density correction."""
 
     triple: CornerSpace
     double: CornerSpace
-    tables: Dict[str, MapTables]
+    maps: Dict[str, BMapSpec]
     density: Monomial
 
     @staticmethod
     def build() -> "ScPipeline":
         maps = sc_triple_maps()
         triple, double = maps["beta_C"].source, maps["beta_C"].target
-        density = _pipeline_density(triple, double, maps)
-        tables = {name: MapTables.of(m) for name, m in maps.items()}
-        return ScPipeline(triple, double, tables, density)
+        return ScPipeline(triple, double, maps,
+                          _pipeline_density(triple, double, maps))
 
 
 def _pipeline_density(triple: CornerSpace, double: CornerSpace,
@@ -352,10 +317,10 @@ def sc_compose_pipeline(a: CalculusOrders, b: CalculusOrders) -> CalculusOrders:
     """
     _require_same(a, b, "sc")
     pipe = _pipeline()
-    pa = pullback_orders(pipe.tables["beta_L"], _full_orders(a))
-    pb = pullback_orders(pipe.tables["beta_R"], _full_orders(b))
+    pa = pullback_orders(pipe.maps["beta_L"], _full_orders(a))
+    pb = pullback_orders(pipe.maps["beta_R"], _full_orders(b))
     combined = {f: indexset_sum(pa[f], pb[f]) for f in pa}
-    pushed = pushforward_orders(pipe.tables["beta_C"], combined, pipe.density)
+    pushed = pushforward_orders(pipe.maps["beta_C"], combined, pipe.density)
     for side in ("100", "010", "001"):
         if not isinstance(pushed[side], InfiniteOrder):
             raise CompositionError(f"pipeline produced a finite order at the "

@@ -347,12 +347,48 @@ class CornerSpace:
 
 @dataclass
 class BMapSpec:
-    """A b-map recorded by the monomial lifts of target defining functions."""
+    """A b-map recorded by the monomial lifts of target defining functions.
+
+    The lifts are read once into the nonzero integer lifting exponents
+    e(target, source), and every query reads those tables: `rows` maps each
+    target face to its preimage faces (source face, e), sorted by source
+    face; `columns` maps each source face that carries orders (reconstructed
+    faces are left out) to its (target face, e) pairs, empty when no lift
+    hits it.
+    """
 
     name: str
     source: CornerSpace
     target: CornerSpace
     lifts: Dict[str, Monomial]
+    rows: Dict[str, Tuple[Tuple[str, int], ...]] = field(init=False, repr=False)
+    columns: Dict[str, Tuple[Tuple[str, int], ...]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        known_order = self.source.face_names()
+        known = set(known_order)
+        self.rows = {}
+        for tface, mono in self.lifts.items():
+            row = tuple((sface, e) for sface, e
+                        in sorted(mono.integer_exponents().items()) if e)
+            for sface, _ in row:
+                if sface not in known:
+                    raise BMapError(f"{self.name}: lift references unknown "
+                                    f"source face {sface!r}")
+            self.rows[tface] = row
+        self.columns = {f.name: tuple((tface, e)
+                                      for tface, row in self.rows.items()
+                                      for sface, e in row if sface == f.name)
+                        for f in self.source.faces if not f.reconstructed}
+        hit = {sface for row in self.rows.values() for sface, _ in row}
+        self._interior = tuple(f for f in known_order if f not in hit)
+        owner: Dict[str, str] = {}
+        witness = None  # the first column, in sorted target order, with two rows
+        for tface in sorted(self.rows):
+            for sface, _ in self.rows[tface]:
+                if witness is None and owner.setdefault(sface, tface) != tface:
+                    witness = (sface, owner[sface], tface)
+        self._fibration = (witness is None, witness)
 
     def lift_of(self, target_face: str) -> Monomial:
         if target_face not in self.lifts:
@@ -368,24 +404,12 @@ class BMapSpec:
 
     def lifting_matrix(self) -> Dict[Tuple[str, str], int]:
         """e(i, j): exponent of source face j in the lift of target face i."""
-        e: Dict[Tuple[str, str], int] = {}
-        for tface, mono in self.lifts.items():
-            for sface, exp in mono.integer_exponents().items():
-                if not self.source.has_face(sface):
-                    raise BMapError(f"{self.name}: lift references unknown "
-                                    f"source face {sface!r}")
-                e[(tface, sface)] = exp
-        return e
+        return {(tface, sface): e for tface, row in self.rows.items()
+                for sface, e in row}
 
-    def preimage_faces(self, target_face: str) -> List[Tuple[str, int]]:
-        return sorted(self.lift_of(target_face).integer_exponents().items())
-
-    def interior_faces(self) -> List[str]:
+    def interior_faces(self) -> Tuple[str, ...]:
         """Source faces mapping to the target interior (all-zero column)."""
-        hit = set()
-        for mono in self.lifts.values():
-            hit.update(mono.integer_exponents())
-        return [f.name for f in self.source.faces if f.name not in hit]
+        return self._interior
 
     def is_b_fibration(self) -> Tuple[bool, Optional[Tuple[str, str, str]]]:
         """Check no source face maps into a corner of the target.
@@ -393,13 +417,4 @@ class BMapSpec:
         Returns (True, None), or (False, (source_face, target_i1, target_i2))
         naming a column with two nonzero rows.
         """
-        column: Dict[str, str] = {}
-        for tface in sorted(self.lifts):
-            for sface, exp in self.lifts[tface].integer_exponents().items():
-                if exp == 0:
-                    continue
-                if sface in column and column[sface] != tface:
-                    return False, (sface, column[sface], tface)
-                column[sface] = tface
-        return True, None
-
+        return self._fibration

@@ -231,37 +231,44 @@ class WarpFamily:
 
     # -- radial operators ----------------------------------------------------
     def radial_operator(self, mu: float, eps: float) -> "RadialOperator":
+        """The mode-mu operator on the whole domain: the cone tip (eps = 0)
+        takes the Friedrichs gamma_+ of slope c and the smooth cap that of
+        slope 1; the neck has no singular end, so both ends take the outer
+        condition."""
         if mu < 0:
             raise ValueError("cross-section eigenvalue mu must be >= 0")
+        outer = self.outer_bc == "dirichlet"
         if eps == 0.0:
-            inner = "friedrichs_cone"
+            gamma, left = indicial_roots(self.n, mu, self.c).gamma_plus, False
         elif self.profile == "capped":
-            inner = "smooth_cap"
+            gamma, left = indicial_roots(self.n, mu, 1.0).gamma_plus, False
         else:
-            inner = "none"
-        return RadialOperator(self, mu, eps, inner, self.outer_bc)
+            gamma, left = 0.0, outer
+        return RadialOperator(self, mu, eps, self.domain(eps), gamma,
+                              (left, outer))
 
     def radial_operators_split(self, mu: float, eps: float) -> List[Tuple[str, "RadialOperator"]]:
         """Operators whose spectra merge to the full one, with branch labels.
 
         The neck at eps > 0 splits into the even/odd half-problems on [0, 1]
-        (f is even in x); other cases are a single branch.
+        (f is even in x): Neumann at x = 0 for the even half, Dirichlet for
+        the odd one.  Other cases are a single branch.
         """
         if self.profile == "neck" and eps > 0.0:
-            return [("even", RadialOperator(self, mu, eps, "none",
-                                            self.outer_bc, parity="even")),
-                    ("odd", RadialOperator(self, mu, eps, "none",
-                                           self.outer_bc, parity="odd"))]
+            outer = self.outer_bc == "dirichlet"
+            return [(branch, RadialOperator(self, mu, eps, (0.0, 1.0), 0.0,
+                                            (branch == "odd", outer)))
+                    for branch in ("even", "odd")]
         return [("", self.radial_operator(mu, eps))]
 
     def radial_operator_fixed_space(self, mu: float, radius: float) -> "RadialOperator":
-        """Per-mode operator of the rescaled complete space on [0, radius]."""
+        """Per-mode operator of the rescaled complete space on [0, radius],
+        Dirichlet at the truncation radius."""
         if self.profile != "capped":
             raise ValueError("fixed-space operators need the capped profile")
-        base = WarpFamily(self.n, self.cross_section, "capped", c=self.c,
-                          outer_bc="dirichlet", cap=self.cap)
-        return RadialOperator(base, mu, 1.0, "smooth_cap", "dirichlet",
-                              x_max=radius)
+        return RadialOperator(self, mu, 1.0, (0.0, radius),
+                              indicial_roots(self.n, mu, 1.0).gamma_plus,
+                              (False, True))
 
 
 # ---------------------------------------------------------------------------
@@ -332,36 +339,22 @@ class WeightFunction:
 class RadialOperator:
     """One separated mode: u -> (-(p u')' + q u)/w with p = w = f^(n-1).
 
-    The singular endpoint is handled through u = x^gamma v, where gamma is
-    the local growth exponent selected by the Friedrichs condition (cone) or
-    by smoothness (cap); the neck has no singular endpoint.  An optional
-    bounded potential carries the nonnegative endomorphism term of a
-    geometric Laplacian (scalar rank here).
+    The boundary treatment is resolved by the `WarpFamily` factories: the
+    operator acts on `domain` = (lo, hi), a singular left endpoint is
+    handled through u = x^gamma v (gamma = 0 where there is none), and
+    `dirichlet` = (left, right) says which ends carry a Dirichlet condition;
+    the others are natural.  An optional bounded potential carries the
+    nonnegative endomorphism term of a geometric Laplacian (scalar rank
+    here).
     """
 
     family: WarpFamily
     mu: float
     eps: float
-    inner_bc: str
-    outer_bc: str
-    x_max: Optional[float] = None
-    parity: Optional[str] = None  # neck half-problems: 'even' or 'odd'
+    domain: Tuple[float, float]
+    gamma: float
+    dirichlet: Tuple[bool, bool]
     potential: Optional[object] = None  # callable V(x) >= 0, bounded
-
-    def domain(self) -> Tuple[float, float]:
-        lo, hi = self.family.domain(self.eps)
-        if self.parity is not None:
-            lo = 0.0
-        if self.x_max is not None:
-            hi = self.x_max
-        return lo, hi
-
-    def gamma(self) -> float:
-        if self.inner_bc == "friedrichs_cone":
-            return indicial_roots(self.family.n, self.mu, self.family.c).gamma_plus
-        if self.inner_bc == "smooth_cap":
-            return indicial_roots(self.family.n, self.mu, 1.0).gamma_plus
-        return 0.0
 
     def p(self, x):
         return self.family.f(x, self.eps) ** (self.family.n - 1)
@@ -384,7 +377,7 @@ class RadialOperator:
         conic with the matching slope.  With gamma = 0 (no singular endpoint,
         or mu = 0) they are p, q and w themselves.
         """
-        g = self.gamma()
+        g = self.gamma
         if g == 0.0:
             return self.p, self.q, self.w
         n = self.family.n
@@ -411,7 +404,7 @@ class RadialOperator:
         """Quadrature check of <Lu,v>_w = <u,Lv>_w on three random test
         functions drawn from a generator seeded with 0."""
         rng = np.random.default_rng(0)
-        lo, hi = self.domain()
+        lo, hi = self.domain
         xs = np.linspace(lo + 1e-9, hi - 1e-9, 4001)
         p, q = self.p(xs), self.q(xs)
 

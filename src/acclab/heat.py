@@ -178,7 +178,7 @@ def crank_nicolson_mode(op, grid: SLGrid, xp: float, times: Sequence[float],
     j0 = int(np.argmin(np.abs(xn - xp)))
     u = np.zeros(len(xn))
     u[j0] = 1.0 / mass[j0]
-    g = op.gamma()
+    g = op.gamma
 
     out = []
     t_prev = 0.0

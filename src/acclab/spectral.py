@@ -64,8 +64,7 @@ class SLGrid:
 # discretization
 # ---------------------------------------------------------------------------
 
-def _assemble(ptil, qtil, wtil, xs: np.ndarray, left_dirichlet: bool,
-              right_dirichlet: bool):
+def _assemble(ptil, qtil, wtil, xs: np.ndarray, dirichlet: Tuple[bool, bool]):
     """Symmetric tridiagonal (A, M) for -(p v')' + q v = lambda w v.
 
     Fluxes use midpoint values of p; mass and potential use half-cell
@@ -96,7 +95,7 @@ def _assemble(ptil, qtil, wtil, xs: np.ndarray, left_dirichlet: bool,
     pot[1:] += 0.5 * qm * h
     diag += pot
 
-    sl = slice(1 if left_dirichlet else 0, -1 if right_dirichlet else None)
+    sl = slice(1 if dirichlet[0] else 0, -1 if dirichlet[1] else None)
     idx = np.arange(m)[sl]
     return diag[idx], off[idx[:-1]] if len(idx) > 1 else off[:0], mass[idx], idx
 
@@ -144,18 +143,11 @@ class _Discretization(NamedTuple):
 
 
 def _discretize(op: RadialOperator, grid: SLGrid) -> _Discretization:
-    """Node layout, boundary-condition choice and the u = x^gamma v
-    substitution of `op` on `grid`, with the mass-scaled tridiagonal."""
-    lo, hi = op.domain()
-    xs = grid.nodes(lo, hi)
-    ptil, qtil, wtil = op.substituted_coefficients()
-    if op.parity is not None:
-        left_dir = op.parity == "odd"
-    else:
-        left_dir = (op.inner_bc == "none" and op.outer_bc == "dirichlet"
-                    and lo != 0.0)
-    right_dir = op.outer_bc == "dirichlet"
-    diag, off, mass, idx = _assemble(ptil, qtil, wtil, xs, left_dir, right_dir)
+    """Node layout and the u = x^gamma v substitution of `op` on `grid`,
+    with its Dirichlet ends dropped and the mass-scaled tridiagonal."""
+    xs = grid.nodes(*op.domain)
+    diag, off, mass, idx = _assemble(*op.substituted_coefficients(), xs,
+                                     op.dirichlet)
     d = 1.0 / np.sqrt(mass)
     return _Discretization(xs, idx, diag, off, mass, diag * d * d,
                            off * d[:-1] * d[1:])
@@ -219,7 +211,7 @@ def solve_mode(op: RadialOperator, grid: SLGrid, count: Optional[int] = None,
     vec *= (1.0 / np.sqrt(fine.mass))[:, None]
     u2 = np.zeros((len(xs2), count))
     u2[fine.idx, :] = vec
-    g_ = op.gamma()
+    g_ = op.gamma
     if g_ != 0.0:
         u2 *= xs2[:, None] ** g_
     # quadrature weights of the ORIGINAL w-inner product on all nodes:
@@ -536,7 +528,7 @@ def mode_rayleigh_bound(op: RadialOperator,
     (bounded near the tip, vanishing at a Dirichlet outer boundary) and be
     supplied as callables; derivatives are taken by dense differencing.
     """
-    lo, hi = op.domain()
+    lo, hi = op.domain
     xs = np.linspace(lo + (1e-12 if lo == 0 else 0.0), hi, npoints)
     p = op.p(xs)
     q = op.q(xs)

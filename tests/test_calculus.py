@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from acclab.calculus import (CalculusOrders, CompositionError, MapTables,
+from acclab.calculus import (CalculusOrders, CompositionError,
                              acc_compose, b_compose, canonical_kernel_orders,
                              conic_compose, lifted_heat_operator_table,
                              orders_from_jsonable, orders_to_jsonable,
@@ -172,7 +172,7 @@ def test_sc_compose_associative_in_k_and_sets():
 
 def test_pullback_gives_smooth_set_on_faces_without_lift():
     pipe = _pipeline()
-    lift = pipe.tables["beta_L"]
+    lift = pipe.maps["beta_L"]
     bare = [f for f, column in lift.columns.items() if not column]
     assert bare
     orders = {"110": IndexSet.of(1), "220": IndexSet.of((2, 1))}
@@ -189,7 +189,7 @@ def test_pullback_gives_smooth_set_on_faces_without_lift():
 def test_pushforward_all_infinite_stays_infinite():
     pipe = _pipeline()
     orders = {f: INFINITE_ORDER for f in pipe.triple.face_names()}
-    out = pushforward_orders(pipe.tables["beta_C"], orders, pipe.density)
+    out = pushforward_orders(pipe.maps["beta_C"], orders, pipe.density)
     assert all(v is INFINITE_ORDER for v in out.values())
 
 
@@ -198,7 +198,7 @@ def test_pushforward_rejects_non_b_fibration():
     pipe = _pipeline()
     orders = {f: INFINITE_ORDER for f in pipe.triple.face_names()}
     with pytest.raises(CompositionError, match="not a b-fibration"):
-        pushforward_orders(MapTables.of(published_sc_triple_maps()["beta_C"]),
+        pushforward_orders(published_sc_triple_maps()["beta_C"],
                            orders, pipe.density)
 
 
@@ -206,7 +206,7 @@ def test_pushforward_single_face_passthrough():
     pipe = _pipeline()
     orders = {f: INFINITE_ORDER for f in pipe.triple.face_names()}
     orders["11100"] = IndexSet.of(5)
-    out = pushforward_orders(pipe.tables["beta_C"], orders, pipe.density)
+    out = pushforward_orders(pipe.maps["beta_C"], orders, pipe.density)
     lead = leading_order(out["110"], n=3)
     # 5 plus the density correction 3/2 at F_11100
     assert lead.alpha.subs(n=3) == Fraction(13, 2)
@@ -217,7 +217,7 @@ def test_pushforward_flags_coincident_orders():
     orders = {f: INFINITE_ORDER for f in pipe.triple.face_names()}
     orders["d3"] = IndexSet.of(affine(5) - (N + 5) / 2)
     orders["d22"] = IndexSet.of(affine(5) - (N + 3) / 2)  # same corrected leader
-    out = pushforward_orders(pipe.tables["beta_C"], orders, pipe.density)
+    out = pushforward_orders(pipe.maps["beta_C"], orders, pipe.density)
     assert out["d2"].name and "coincident" in out["d2"].name
 
 

@@ -165,7 +165,8 @@ def test_optional_potential_term_shifts_spectrum():
 
     fam = WarpFamily.capped(n=3, c=1.0)
     base = fam.radial_operator(2.0, 0.1)
-    shifted = RadialOperator(fam, 2.0, 0.1, base.inner_bc, base.outer_bc,
+    shifted = RadialOperator(fam, 2.0, 0.1, base.domain, base.gamma,
+                             base.dirichlet,
                              potential=lambda x: 3.0 * np.ones_like(x))
     s0 = solve_mode(base, SLGrid(512), 3)
     s1 = solve_mode(shifted, SLGrid(512), 3)

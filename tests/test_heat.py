@@ -132,7 +132,7 @@ def test_heat_from_spectrum_long_time_and_reproducing():
     sol = solve_mode(fam.radial_operator(0.0, 0.1), SLGrid(1024), 60)
     assert heat_from_spectrum(sol, 0.5, 0.5, 40.0) < 1e-8  # lambda_1 > 0
     # reproducing property: int K(x, x', t) u1(x') w dx' = e^(-lambda_1 t) u1(x)
-    g = sol.operator.gamma()
+    g = sol.operator.gamma
     xs, t = sol.xs, 0.2
     u1 = sol.u[:, 0]
     lamt = np.exp(-sol.lam * t)

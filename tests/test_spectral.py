@@ -130,7 +130,7 @@ def test_scale_c_enters_through_nu():
 def test_eigenvectors_w_orthonormal():
     fam = WarpFamily.capped(n=3, c=1.0)
     sol = solve_mode(fam.radial_operator(2.0, 0.1), SLGrid(512), 5)
-    g = sol.operator.gamma()
+    g = sol.operator.gamma
     v = sol.u / np.where(sol.xs[:, None] > 0, sol.xs[:, None] ** g, 1.0)
     v[sol.xs == 0.0] = 0.0 if g > 0 else sol.u[sol.xs == 0.0]
     gram = (v * sol.mass[:, None]).T @ v
