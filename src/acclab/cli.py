@@ -59,8 +59,7 @@ def load_golden() -> dict:
 # ---------------------------------------------------------------------------
 
 DEFAULT_CONFIG = {
-    "model": {"n": "3", "c": "1.0", "profile": "capped", "mode_count": "12",
-              "outer_bc": "dirichlet"},
+    "model": {"n": "3", "c": "1.0", "profile": "capped", "mode_count": "12"},
     "schedule": {"eps": "0.2,0.1,0.05,0.025,0.0125"},
     "solver": {"grid_n": "2048", "count": "10", "ell_max": "4",
                "rel_tol": "1e-3"},
@@ -151,7 +150,7 @@ def family_from_config(cp) -> WarpFamily:
     maker = WarpFamily.capped if m["profile"] == "capped" else WarpFamily.neck
     try:
         return maker(n=int(m["n"]), c=float(m["c"]),
-                     mode_count=int(m["mode_count"]), outer_bc=m["outer_bc"])
+                     mode_count=int(m["mode_count"]))
     except ValueError as exc:  # a family the model section cannot describe
         raise SystemExit(f"config error: [model] {exc}")
 

@@ -195,7 +195,6 @@ class CornerSpace:
     name: str
     faces: List[Face] = field(default_factory=list)
     components: Dict[str, Monomial] = field(default_factory=dict)
-    scalar_vars: Tuple[str, ...] = ()
     history: List[HistoryEvent] = field(default_factory=list)
     display_faces: Optional[List[str]] = None
     corners: List[Tuple[str, Tuple[str, ...], str]] = field(default_factory=list)
@@ -228,14 +227,12 @@ class CornerSpace:
         self.faces.append(Face(name, ORIGIN_BOUNDARY, geometry=geometry))
         if defines is not None:
             self.components[defines] = Monomial.from_dict({name: 1})
-            if defines not in self.scalar_vars:
-                self.scalar_vars = self.scalar_vars + (defines,)
 
     def add_component(self, comp: str, scalar: bool = False) -> None:
-        """Track a component that vanishes at no original face."""
+        """Track a component that vanishes at no original face.  `scalar`
+        (a total-time variable rather than a diagonal distance) is accepted
+        for callers that mark it; the lift is the same either way."""
         self.components[comp] = Monomial.one()
-        if scalar and comp not in self.scalar_vars:
-            self.scalar_vars = self.scalar_vars + (comp,)
 
     def vanishing_orders(self, center: BlowupCenter) -> Dict[str, Fraction]:
         """Order of vanishing of every tracked component at the center."""
@@ -277,7 +274,6 @@ class CornerSpace:
     # -- representative lifts ----------------------------------------------
     def lift_representative(self, rep: Representative) -> Monomial:
         """Exact monomial lift of a radial-type distance function."""
-        init_orders: Dict[str, Dict[str, Fraction]] = {}
         out: Dict[str, Fraction] = {}
         # original faces: vanishing read off the initial component monomials
         for f in self.faces:

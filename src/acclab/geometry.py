@@ -237,6 +237,10 @@ class WarpFamily:
         condition."""
         if mu < 0:
             raise ValueError("cross-section eigenvalue mu must be >= 0")
+        if eps == 0.0 and self.profile == "neck":
+            raise ValueError("the neck limit at eps = 0 is two cones joined at "
+                             "the tip, not one radial operator: its spectrum "
+                             "is the doubled conic reference")
         outer = self.outer_bc == "dirichlet"
         if eps == 0.0:
             gamma, left = indicial_roots(self.n, mu, self.c).gamma_plus, False

@@ -298,7 +298,11 @@ def _truncated_mode_solution(family: WarpFamily, mu: float, radius: float,
     if n < 16:
         raise SolverError(f"grid step h = {h} leaves {n} cells on the "
                           f"truncation radius {radius}; need at least 16")
-    return solve_mode(op, SLGrid(n), lam_top=lam_top)
+    try:
+        return solve_mode(op, SLGrid(n), lam_top=lam_top)
+    except SolverError as exc:
+        raise SolverError(f"grid step h = {h} on the truncation radius "
+                          f"{radius}: {exc}") from exc
 
 
 def scaled_probe(family: WarpFamily, schedule: Sequence[float],

@@ -128,7 +128,7 @@ def sc_triple_heat_space() -> CornerSpace:
     sp.add_boundary_face("00001", defines="t2")
     for comp in ("dY12", "dY13", "dY23", "dZ12", "dZ13", "dZ23"):
         sp.add_component(comp)
-    sp.add_component("t3", scalar=True)  # total time; resolved by the corner blowup
+    sp.add_component("t3")  # total time; resolved by the corner blowup
 
     # spatial corners
     sp.blow_up(BlowupCenter.make(faces=("10000", "01000", "00100"), codim=3),
@@ -326,7 +326,6 @@ def _acc_faces(sp: CornerSpace, heat: bool) -> None:
     sp.components["r2"] = Monomial.from_dict({"0101": 1, "1001": 1})
     sp.components["eps"] = sp.components["x1"] * sp.components["r1"]
     sp.components["eps_prime"] = sp.components["x2"] * sp.components["r2"]
-    sp.scalar_vars = ("x1", "r1", "x2", "r2")
     sp.display_faces = ["1010", "1001", "0110", "0101"]
 
 
@@ -372,7 +371,7 @@ def acc_triple_heat_space() -> CornerSpace:
     sp.add_boundary_face("bs", defines="t2")
     for comp in ("dY12", "dY13", "dY23", "dZ12", "dZ13", "dZ23"):
         sp.add_component(comp)
-    sp.add_component("t3", scalar=True)
+    sp.add_component("t3")
     # corner blowup of the time quadrant, part of the base R+_{2,b}
     sp.blow_up(BlowupCenter.make(faces=("bt", "bs"), vanishing={"t3": 1},
                                  codim=2), "ts")

@@ -361,12 +361,9 @@ CurveKey = Tuple[int, str, int]  # (ell, branch, k)
 
 @dataclass
 class SpectralFlow:
-    family: WarpFamily
     schedule: List[float]
     curves: Dict[CurveKey, List[float]]
-    curve_meta: Dict[CurveKey, dict]
     clusters: List[Cluster]
-    reference: EigenResult
     rates: Dict[CurveKey, float]
     verdict: dict
 
@@ -510,8 +507,7 @@ def spectral_flow(family: WarpFamily, schedule: Sequence[float], grid: SLGrid,
         "mode_universe_ell_max": ell_max,
         "complete_below": complete_below,
     }
-    return SpectralFlow(family, schedule, curves, meta, clusters, reference,
-                        rates, verdict)
+    return SpectralFlow(schedule, curves, clusters, rates, verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,7 @@ def test_config_validation(tmp_path):
     ("[solver]\ngrid_kind = graded\n", "unknown key 'grid_kind'"),
     ("[probes]\ncount = 3\n", "unknown key 'count' in \\[probes\\]"),
     ("[sovler]\ngrid_n = 256\n", "unknown section \\[sovler\\]"),
+    ("[model]\nouter_bc = neumann\n", "unknown key 'outer_bc' in \\[model\\]"),
 ])
 def test_config_rejects_unknown_sections_and_keys(tmp_path, text, message):
     bad = tmp_path / "bad.ini"
@@ -234,7 +235,15 @@ def test_config_rejects_out_of_range_values(tmp_path, command, text, message):
         run(["--config", str(bad), "--out", str(tmp_path)] + command.split())
 
 
-@pytest.mark.parametrize("text", ["[probes]\nh = 0.3\n", "[probes]\nrho = 5\n"])
+# config -> what its refusal must say: which [probes] value and radius
+_REFUSALS = {
+    "[probes]\nh = 0.3\n":
+        "grid step h = 0.3 on the truncation radius 12.0: count > N/4",
+    "[probes]\nrho = 5\n": "truncation-domain influence detected",
+}
+
+
+@pytest.mark.parametrize("text", list(_REFUSALS))
 def test_solver_refusal_exits_3_with_message(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(text)
@@ -243,6 +252,7 @@ def test_solver_refusal_exits_3_with_message(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("solver error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert _REFUSALS[text] in err
 
 
 def test_spectrum_and_flow_outputs(tmp_path, capsys):

@@ -136,6 +136,20 @@ def test_neck_even_profile_regular_at_zero():
     assert fam.fprime(0.0, 0.3) == pytest.approx(0.0)
 
 
+def test_neck_operator_at_eps_zero_is_refused():
+    # the limit is two cones: one operator on [-1, 1] would take x^(2 gamma)
+    # at x < 0 and divide by f/x, which the neck does not have
+    from acclab.spectral import (SLGrid, assemble_spectrum,
+                                 conic_reference_spectrum)
+    neck = WarpFamily.neck(n=3, c=0.8)
+    with pytest.raises(ValueError, match="two cones"):
+        neck.radial_operator(2.0, 0.0)
+    with pytest.raises(ValueError, match="two cones"):
+        neck.radial_operators_split(2.0, 0.0)
+    ref = conic_reference_spectrum(neck, 3, 2)
+    assert assemble_spectrum(neck, 0.0, SLGrid(64), 3, 2).entries == ref.entries
+
+
 def test_radial_operator_symmetry_quadrature_oracle():
     fam = WarpFamily.capped(n=3, c=0.8)
     for op in (fam.radial_operator(2.0, 0.2),

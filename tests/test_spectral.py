@@ -186,6 +186,55 @@ def test_solver_guard_rails():
         SLGrid(8)
 
 
+def _boundary_cases():
+    capped = WarpFamily.capped(n=3, c=0.8)
+    neck = WarpFamily.neck(n=3, c=0.8)
+    halves = dict(neck.radial_operators_split(2.0, 0.1))
+    cap_gamma = indicial_roots(3, 2.0, 1.0).gamma_plus
+    cone_gamma = indicial_roots(3, 2.0, 0.8).gamma_plus
+    # (operator, domain, substitution exponent, (left kept, right kept))
+    return {
+        "capped": (capped.radial_operator(2.0, 0.1), (0.0, 1.0), cap_gamma,
+                   (True, False)),
+        "cone": (capped.radial_operator(2.0, 0.0), (0.0, 1.0), cone_gamma,
+                 (True, False)),
+        "neck dirichlet": (neck.radial_operator(2.0, 0.1), (-1.0, 1.0), 0.0,
+                           (False, False)),
+        "neck neumann": (WarpFamily.neck(n=3, c=0.8, outer_bc="neumann")
+                         .radial_operator(2.0, 0.1), (-1.0, 1.0), 0.0,
+                         (True, True)),
+        "neck even": (halves["even"], (0.0, 1.0), 0.0, (True, False)),
+        "neck odd": (halves["odd"], (0.0, 1.0), 0.0, (False, False)),
+        "fixed space": (capped.radial_operator_fixed_space(2.0, 3.0),
+                        (0.0, 3.0), cap_gamma, (True, False)),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_boundary_cases()))
+def test_discretize_keeps_natural_ends_and_drops_dirichlet_ones(kind):
+    # the weight after u = x^gamma v is f^(n-1) x^(2 gamma); a kept end node
+    # carries its half cell of mass and stiffness, a Dirichlet one is dropped
+    op, (lo, hi), gamma, (left, right) = _boundary_cases()[kind]
+    disc = spectral._discretize(op, SLGrid(16))
+    xs = disc.xs
+    assert (xs[0], xs[-1], len(xs)) == (lo, hi, 17)
+    assert np.array_equal(disc.idx, np.arange(0 if left else 1,
+                                              17 if right else 16))
+
+    mids, h = 0.5 * (xs[:-1] + xs[1:]), np.diff(xs)
+    wm = (op.family.f(mids, op.eps) ** (op.family.n - 1)
+          * np.abs(mids) ** (2 * gamma))
+    qm = op.substituted_coefficients()[1](mids)
+
+    def half_cells(per_cell):
+        return np.r_[per_cell, 0.0] + np.r_[0.0, per_cell]
+
+    mass = half_cells(0.5 * wm * h)
+    diag = half_cells(wm / h) + half_cells(0.5 * qm * h)
+    np.testing.assert_allclose(disc.mass, mass[disc.idx], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(disc.diag, diag[disc.idx], rtol=1e-12, atol=0)
+
+
 def _lam_top_operators():
     capped = WarpFamily.capped(n=3, c=0.8, mode_count=10)
     neck = WarpFamily.neck(n=3, c=0.8, mode_count=10)
