@@ -228,10 +228,9 @@ class CornerSpace:
         if defines is not None:
             self.components[defines] = Monomial.from_dict({name: 1})
 
-    def add_component(self, comp: str, scalar: bool = False) -> None:
-        """Track a component that vanishes at no original face.  `scalar`
-        (a total-time variable rather than a diagonal distance) is accepted
-        for callers that mark it; the lift is the same either way."""
+    def add_component(self, comp: str) -> None:
+        """Track a component that vanishes at no original face (a diagonal
+        distance or a total-time variable; both lift the same way)."""
         self.components[comp] = Monomial.one()
 
     def vanishing_orders(self, center: BlowupCenter) -> Dict[str, Fraction]:

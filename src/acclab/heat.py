@@ -19,9 +19,13 @@ truncated domains so that the domain-monotone wall effect is resolved).
 from __future__ import annotations
 
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -243,6 +247,45 @@ def _probe_result(regime: str, schedule: Sequence[float],
                        float(dists[-1]), meta)
 
 
+@contextmanager
+def _ordered_map(fn: Callable, jobs: list) -> Iterator[Iterator]:
+    """`fn` over `jobs`, results in job order, on one worker process per
+    usable CPU (in this process when there is one CPU).
+
+    The results are read lazily, so a caller that checks early results
+    before it reads later ones raises the error it would raise serially.
+    On leaving the block, jobs not yet started are cancelled and every
+    worker is joined.  Workers are forked: a spawned worker would import
+    numpy and scipy again, which costs more than most probe solves.  A
+    fork copies no thread but every lock, so a caller that runs other
+    Python threads gets the serial map.
+    """
+    # without an affinity mask (macOS, Windows) there is no fork to rely on
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+    if cpus == 1 or len(jobs) < 2 or threading.active_count() > 1:
+        yield map(fn, jobs)
+        return
+    # imported here: only the probes start processes, and every process
+    # that loads this module would otherwise carry these modules too
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(min(cpus, len(jobs)),
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool.map(fn, jobs)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _interior_mode_values(job: tuple) -> List[float]:
+    """One interior-probe job: the kernel value of one mode of (M, g_eps)
+    at each probe time."""
+    family, mu, eps, grid, lam_top, x, xp, times = job
+    sol = solve_mode(family.radial_operator(mu, eps), grid, lam_top=lam_top)
+    return [heat_from_spectrum(sol, x, xp, t) for t in times]
+
+
 def interior_probe(family: WarpFamily, schedule: Sequence[float],
                    x: float = 0.5, xp: float = 0.5,
                    times: Sequence[float] = (0.1, 0.25, 0.5, 1.0),
@@ -275,16 +318,16 @@ def interior_probe(family: WarpFamily, schedule: Sequence[float],
         sum(w * m.kernel(x, xp, t) for w, m in zip(weights, h0_modes))
         for t in times])
 
+    mus = [family.cross_section.mu(ell) for ell in range(ell_max + 1)]
+    jobs = [(family, mu, eps, grid, lam_top, x, xp, times)
+            for eps in schedule for mu in mus]
     eps_vals = np.empty((len(schedule), len(times)))
-    for i, eps in enumerate(schedule):
-        mode_sols = []
-        for ell in range(ell_max + 1):
-            op = family.radial_operator(family.cross_section.mu(ell), eps)
-            mode_sols.append(solve_mode(op, grid, lam_top=lam_top))
-        for j, t in enumerate(times):
-            eps_vals[i, j] = sum(
-                w * heat_from_spectrum(sol, x, xp, t)
-                for w, sol in zip(weights, mode_sols))
+    with _ordered_map(_interior_mode_values, jobs) as values:
+        for i in range(len(schedule)):
+            mode_vals = [next(values) for _ in mus]
+            for j in range(len(times)):
+                eps_vals[i, j] = sum(w * v[j]
+                                     for w, v in zip(weights, mode_vals))
     return _probe_result("interior_F0101", schedule, times, model, eps_vals,
                          {})
 
@@ -303,6 +346,14 @@ def _truncated_mode_solution(family: WarpFamily, mu: float, radius: float,
     except SolverError as exc:
         raise SolverError(f"grid step h = {h} on the truncation radius "
                           f"{radius}: {exc}") from exc
+
+
+def _scaled_mode_value(job: tuple) -> float:
+    """One scaled-probe job: the kernel value at tau of one mode of the
+    fixed space truncated at `radius`."""
+    family, mu, radius, h, lam_top, rho, rhop, tau = job
+    sol = _truncated_mode_solution(family, mu, radius, h, lam_top)
+    return heat_from_spectrum(sol, rho, rhop, tau)
 
 
 def scaled_probe(family: WarpFamily, schedule: Sequence[float],
@@ -327,25 +378,30 @@ def scaled_probe(family: WarpFamily, schedule: Sequence[float],
     mus = [family.cross_section.mu(ell) for ell in range(ell_max + 1)]
     lam_top = _tail_lam_top(tau)
 
-    def kernel_on(radius: float) -> float:
-        total = 0.0
-        for w, mu in zip(weights, mus):
-            sol = _truncated_mode_solution(family, mu, radius, h, lam_top)
-            total += w * heat_from_spectrum(sol, rho, rhop, tau)
-        return total
+    radii = [2.0 * ref_radius, ref_radius] + [1.0 / eps for eps in schedule]
+    jobs = [(family, mu, radius, h, lam_top, rho, rhop, tau)
+            for radius in radii for mu in mus]
 
     # cross-domain h^2 discretization errors do not cancel exactly and
     # floor the monitor near 0.1 h^2 of the value; genuine truncation
     # influence shows up orders of magnitude above that
     monitor_rel_tol = max(1e-6, 0.2 * h * h)
-    ref = kernel_on(2.0 * ref_radius)
-    drift = abs(ref - kernel_on(ref_radius))
-    if drift > monitor_rel_tol * abs(ref):
-        raise SolverError(
-            f"truncation-domain influence detected: reference radius "
-            f"{ref_radius} moves the probe by {drift:.3e}")
+    with _ordered_map(_scaled_mode_value, jobs) as values:
+        def kernel_on_next_radius() -> float:
+            total = 0.0
+            for w in weights:
+                total += w * next(values)
+            return total
 
-    vals = np.array([[kernel_on(1.0 / eps)] for eps in schedule])
+        # the drift check comes before any schedule value is read, so it
+        # wins over a schedule radius's own refusal
+        ref = kernel_on_next_radius()
+        drift = abs(ref - kernel_on_next_radius())
+        if drift > monitor_rel_tol * abs(ref):
+            raise SolverError(
+                f"truncation-domain influence detected: reference radius "
+                f"{ref_radius} moves the probe by {drift:.3e}")
+        vals = np.array([[kernel_on_next_radius()] for _ in schedule])
     return _probe_result("scaled_F1010", schedule, [tau], np.array([ref]),
                          vals, {"h": h, "ref_radius": ref_radius,
                                 "reference_drift": drift,

@@ -175,12 +175,16 @@ def eigh_tridiagonal(d, e, eigvals_only=False, select="a", select_range=None):
 
 
 def _count_below(disc: _Discretization, lam_top: float) -> int:
-    """Number of eigenvalues <= lam_top, from one eigenvalue-only pass."""
+    """Number of eigenvalues <= lam_top, from Sturm counts alone."""
     # below every Gershgorin disc, so (lo, lam_top] holds all of them
     radius = 2.0 * float(np.max(np.abs(disc.bo)))
     lo = min(float(np.min(disc.bd)) - radius, lam_top) - 1.0
-    return len(eigh_tridiagonal(disc.bd, disc.bo, eigvals_only=True,
-                                select="v", select_range=(lo, lam_top)))
+    # LAPACK stebz takes the count from Sturm counts at the interval ends
+    # before it bisects; an infinite tolerance leaves nothing to bisect, and
+    # only the length of the result (interval midpoints) is used
+    return len(linalg.eigh_tridiagonal(disc.bd, disc.bo, eigvals_only=True,
+                                       select="v", select_range=(lo, lam_top),
+                                       tol=math.inf))
 
 
 def solve_mode(op: RadialOperator, grid: SLGrid, count: Optional[int] = None,

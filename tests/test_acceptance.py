@@ -333,7 +333,7 @@ def test_criterion_8_property_suites():
             sp.add_boundary_face(name, defines=var)
         for comp in ("dY12", "dY13", "dY23", "dZ12", "dZ13", "dZ23"):
             sp.add_component(comp)
-        sp.add_component("t3", scalar=True)
+        sp.add_component("t3")
         for ev in [rest[0]] + list(perm) + rest[1:]:
             sp.blow_up(ev.center, ev.face_name)
         ok &= {k: str(v) for k, v in sp.components.items()} == baseline

@@ -84,7 +84,7 @@ def test_blowup_order_independence_triple_pairs(rng_permutations=None):
             sp.add_boundary_face(name, defines=var)
         for comp in ("dY12", "dY13", "dY23", "dZ12", "dZ13", "dZ23"):
             sp.add_component(comp)
-        sp.add_component("t3", scalar=True)
+        sp.add_component("t3")
         events = [other[0]] + list(perm) + other[1:]
         for ev in events:
             sp.blow_up(ev.center, ev.face_name)

@@ -1,15 +1,21 @@
 """Model kernels, degeneration probes, Volterra series, envelope checks."""
 
+import concurrent.futures
 import math
+import multiprocessing
+import os
+import threading
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import jv
 
 from acclab.geometry import WarpFamily, indicial_roots, sphere_volume
 from acclab.heat import (TAIL_TOL, ExactConeMode, GridKernel, PolyKernel,
-                         _probe_result, b_cylinder_kernel,
+                         _probe_result, _tail_lam_top, b_cylinder_kernel,
                          coincident_angular_weight, cone_mode_kernel,
                          crank_nicolson_mode, euclidean_kernel, g0_fiber_check,
                          half_line_dirichlet_kernel, heat_from_spectrum,
@@ -307,6 +313,114 @@ def test_scaled_probe_refuses_a_grid_coarser_than_16_cells():
 def test_scaled_probe_requires_capped():
     with pytest.raises(SolverError, match="capped"):
         scaled_probe(WarpFamily.neck(n=3, c=1.0), [0.5, 0.4, 0.3])
+
+
+def _probe_run(probe):
+    fam = WarpFamily.capped(n=3, c=0.8, mode_count=10)
+    if probe == "interior":
+        return interior_probe(fam, [0.2, 0.1], times=(0.1, 0.5), ell_max=4,
+                              grid=SLGrid(256))
+    return scaled_probe(fam, [1 / 2, 1 / 2.25], ell_max=4, h=1 / 64,
+                        ref_radius=5.0)
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+
+
+def _count_pools(monkeypatch):
+    """The worker counts of the process pools the probes go on to start."""
+    started = []
+    pool = concurrent.futures.ProcessPoolExecutor
+
+    def counted(workers, **kwargs):
+        started.append(workers)
+        return pool(workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+    return started
+
+
+@pytest.mark.parametrize("probe", ["interior", "scaled"])
+def test_pooled_probes_match_the_serial_path(monkeypatch, probe):
+    pools = _count_pools(monkeypatch)
+    _cpus(monkeypatch, 2)
+    pooled = _probe_run(probe)
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+    _cpus(monkeypatch, 1)
+    serial = _probe_run(probe)
+    assert pools == [2]
+    for name in ("eps_values", "model_values", "distances"):
+        assert np.array_equal(getattr(pooled, name), getattr(serial, name))
+
+
+@pytest.mark.parametrize("schedule, h, ref_radius, message", [
+    # every job refuses: 2 ref_radius = 2 is 4 steps of h = 0.5
+    ([0.5], 0.5, 1.0, "h = 0.5 leaves 4 cells"),
+    # the drift check fails before the schedule radius 1/0.3, which is no
+    # grid multiple, is read
+    ([1 / 2, 0.3], 1 / 64, 2.0, "truncation-domain influence"),
+])
+def test_pooled_probe_refusals_match_the_serial_path(monkeypatch, schedule, h,
+                                                     ref_radius, message):
+    fam = WarpFamily.capped(n=3, c=0.8, mode_count=10)
+    pools = _count_pools(monkeypatch)
+    errors = []
+    for count in (2, 1):
+        _cpus(monkeypatch, count)
+        with pytest.raises(SolverError, match=message) as info:
+            scaled_probe(fam, schedule, ell_max=2, h=h, ref_radius=ref_radius)
+        assert multiprocessing.active_children() == []
+        errors.append(str(info.value))
+    assert pools == [2]
+    assert errors[0] == errors[1]
+
+
+def test_probes_fork_no_workers_beside_other_threads(monkeypatch):
+    _cpus(monkeypatch, 2)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("forked beside another thread")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        res = _probe_run("scaled")
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert res.strictly_decreasing
+
+
+@lru_cache(maxsize=None)
+def _probe_mode(mu, eps):
+    fam = WarpFamily.capped(n=3, c=0.8, mode_count=10)
+    return solve_mode(fam.radial_operator(mu, eps), SLGrid(256),
+                      lam_top=_tail_lam_top(0.1))
+
+
+_probe_points = st.floats(0.05, 0.95)
+_probe_modes = st.tuples(st.sampled_from([0.0, 2.0, 6.0, 12.0]),
+                         st.sampled_from([0.2, 0.05]))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_probe_modes, _probe_points, _probe_points, st.floats(0.1, 2.0))
+def test_heat_from_spectrum_symmetric_in_the_probe_pair(mode, x, xp, t):
+    sol = _probe_mode(*mode)
+    assert heat_from_spectrum(sol, x, xp, t) == pytest.approx(
+        heat_from_spectrum(sol, xp, x, t), rel=1e-13, abs=0)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_probe_modes, _probe_points, _probe_points, st.floats(0.1, 2.0))
+def test_heat_from_spectrum_positive_at_interior_pairs(mode, x, xp, t):
+    assert heat_from_spectrum(_probe_mode(*mode), x, xp, t) > 0.0
 
 
 def test_probe_result_strict_decrease():

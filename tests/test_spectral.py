@@ -296,6 +296,42 @@ def test_lam_top_short_spectrum_raises(monkeypatch):
         solve_mode(op, SLGrid(256), lam_top=322.0)
 
 
+def _count_operators():
+    for c in (0.8, 1.0):
+        capped = WarpFamily.capped(n=3, c=c, mode_count=10)
+        neck = WarpFamily.neck(n=3, c=c, mode_count=10)
+        for mu in (0.0, 2.0, 12.0):
+            for eps in (0.2, 0.0125):
+                yield f"capped c={c} mu={mu} eps={eps}", \
+                    capped.radial_operator(mu, eps)
+                for branch, op in neck.radial_operators_split(mu, eps):
+                    yield f"neck {branch} c={c} mu={mu} eps={eps}", op
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_count_below_equals_the_bisected_count(n):
+    # the Sturm count alone (infinite bisection tolerance) against the
+    # length of the bisected eigenvalue-only result, with lam_top at random
+    # points, exactly on an eigenvalue and one ulp to either side of it
+    rng = np.random.default_rng(7)
+    for name, op in _count_operators():
+        disc = spectral._discretize(op, SLGrid(n))
+        lam = scipy.linalg.eigh_tridiagonal(disc.bd, disc.bo,
+                                            eigvals_only=True)
+        radius = 2.0 * float(np.max(np.abs(disc.bo)))
+        tops = list(rng.uniform(lam[0] - 1.0, lam[n // 16], size=3))
+        for k in (0, n // 16):
+            tops += [np.nextafter(lam[k], -np.inf), lam[k],
+                     np.nextafter(lam[k], np.inf)]
+        for lam_top in tops:
+            lo = min(float(np.min(disc.bd)) - radius, lam_top) - 1.0
+            bisected = spectral.eigh_tridiagonal(
+                disc.bd, disc.bo, eigvals_only=True, select="v",
+                select_range=(lo, lam_top))
+            assert spectral._count_below(disc, float(lam_top)) \
+                == len(bisected), (name, lam_top)
+
+
 def test_conic_reference_closed_forms_and_neck_doubling():
     fam = WarpFamily.capped(n=3, c=1.0)
     ref = conic_reference_spectrum(fam, 3, ell_max=1)
