@@ -392,7 +392,7 @@ def cmd_heat(args) -> int:
                            rho=float(pr["rho"]), rhop=float(pr["rhop"]),
                            tau=float(pr["tau"]), ell_max=int(pr["ell_max"]),
                            h=float(pr["h"]), ref_radius=float(pr["ref_radius"]))
-    elif regime == "flat_ball":
+    else:  # flat_ball; argparse's choices admit no other regime
         from .geometry import WarpFamily
         defect = max(scaling_identity_defect(WarpFamily.capped(n=fam.n, c=1.0), s)
                      for s in (0.5, 0.25))
@@ -400,9 +400,6 @@ def cmd_heat(args) -> int:
             {"regime": "flat_ball", "identity_defect": defect}, indent=2))
         print(f"scaling identity defect: {fmt(defect)}")
         return 0 if defect < 1e-8 else 1
-    else:
-        print(f"unknown regime {regime!r}", file=sys.stderr)
-        return 2
     x0 = float(pr["x"]) if regime == "interior" else float(pr["rho"])
     x1 = float(pr["xprime"]) if regime == "interior" else float(pr["rhop"])
     for i, eps in enumerate(res.schedule):

@@ -19,7 +19,7 @@ p = w = f^(n-1) and q = mu * f^(n-3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -153,7 +153,8 @@ class WarpFamily:
     profile: str  # 'neck' or 'capped'
     c: float = 1.0
     outer_bc: str = "dirichlet"
-    cap: Optional[CapProfile] = None
+    # derived from profile and c, so it takes no part in equality or hashing
+    cap: Optional[CapProfile] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 3:
@@ -164,8 +165,8 @@ class WarpFamily:
             raise ValueError(f"unknown profile {self.profile!r}")
         if self.outer_bc not in ("dirichlet", "neumann"):
             raise ValueError(f"unknown outer bc {self.outer_bc!r}")
-        if self.profile == "capped" and self.cap is None:
-            object.__setattr__(self, "cap", CapProfile(self.c))
+        object.__setattr__(self, "cap", CapProfile(self.c)
+                           if self.profile == "capped" else None)
 
     @staticmethod
     def capped(n=3, c=1.0, mode_count=6, outer_bc="dirichlet") -> "WarpFamily":

@@ -247,43 +247,64 @@ def _probe_result(regime: str, schedule: Sequence[float],
                        float(dists[-1]), meta)
 
 
-@contextmanager
-def _ordered_map(fn: Callable, jobs: list) -> Iterator[Iterator]:
-    """`fn` over `jobs`, results in job order, on one worker process per
-    usable CPU (in this process when there is one CPU).
+def _weighted_sum(weights: Sequence[float],
+                  modes: Sequence[Sequence[float]]) -> List[float]:
+    """sum_ell w_ell H_ell, one value per time, summed over ell ascending;
+    `modes[ell]` holds mode ell's kernel values, one per time."""
+    return [sum(w * m[j] for w, m in zip(weights, modes))
+            for j in range(len(modes[0]))]
 
-    The results are read lazily, so a caller that checks early results
-    before it reads later ones raises the error it would raise serially.
-    On leaving the block, jobs not yet started are cancelled and every
-    worker is joined.  Workers are forked: a spawned worker would import
-    numpy and scipy again, which costs more than most probe solves.  A
-    fork copies no thread but every lock, so a caller that runs other
-    Python threads gets the serial map.
+
+def _mode_kernel(job: tuple) -> List[float]:
+    """One probe job: one radial mode solved up to lam_top by `solve`, and
+    its kernel at (x, x') at each time."""
+    solve, args, lam_top, x, xp, times = job
+    sol = solve(*args, lam_top)
+    return [heat_from_spectrum(sol, x, xp, t) for t in times]
+
+
+@contextmanager
+def _mode_sums(weights: Sequence[float],
+               jobs: list) -> Iterator[Callable[[], List[float]]]:
+    """Runs the `_mode_kernel` jobs, one per (row, mode) in row-major order,
+    and yields `next_sum()`: the weighted mode sum `_weighted_sum` over the
+    next len(weights) jobs, one value per time.
+
+    The jobs run on one worker process per usable CPU (in this process when
+    there is one CPU).  Their results are read lazily, so a caller that
+    checks early sums before it reads later ones raises the error it would
+    raise serially.  On leaving the block, jobs not yet started are
+    cancelled and every worker is joined.  Workers are forked: a spawned
+    worker would import numpy and scipy again, which costs more than most
+    probe solves.  A fork copies no thread but every lock, so a caller that
+    runs other Python threads gets the serial path.
     """
     # without an affinity mask (macOS, Windows) there is no fork to rely on
     cpus = (len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else 1)
-    if cpus == 1 or len(jobs) < 2 or threading.active_count() > 1:
-        yield map(fn, jobs)
-        return
-    # imported here: only the probes start processes, and every process
-    # that loads this module would otherwise carry these modules too
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(min(cpus, len(jobs)),
-                               mp_context=multiprocessing.get_context("fork"))
+    pool = None
+    if cpus > 1 and len(jobs) > 1 and threading.active_count() == 1:
+        # imported here: only the probes start processes, and every process
+        # that loads this module would otherwise carry these modules too
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(
+            min(cpus, len(jobs)), mp_context=multiprocessing.get_context("fork"))
     try:
-        yield pool.map(fn, jobs)
+        values = (map if pool is None else pool.map)(_mode_kernel, jobs)
+
+        def next_sum() -> List[float]:
+            return _weighted_sum(weights, [next(values) for _ in weights])
+
+        yield next_sum
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _interior_mode_values(job: tuple) -> List[float]:
-    """One interior-probe job: the kernel value of one mode of (M, g_eps)
-    at each probe time."""
-    family, mu, eps, grid, lam_top, x, xp, times = job
-    sol = solve_mode(family.radial_operator(mu, eps), grid, lam_top=lam_top)
-    return [heat_from_spectrum(sol, x, xp, t) for t in times]
+def _family_mode_solution(family: WarpFamily, mu: float, eps: float,
+                          grid: SLGrid, lam_top: float) -> ModeSolution:
+    return solve_mode(family.radial_operator(mu, eps), grid, lam_top=lam_top)
 
 
 def interior_probe(family: WarpFamily, schedule: Sequence[float],
@@ -295,8 +316,9 @@ def interior_probe(family: WarpFamily, schedule: Sequence[float],
 
     H_eps is the eigenexpansion kernel of (M, g_eps); the limit H_0 is the
     exact Bessel eigenexpansion of the cone.  The distance is the max over
-    the time grid of |H_eps - H_0|.  Each mode is solved up to the
-    eigenvalue the TAIL_TOL guard needs at the smallest time.
+    the time grid of the relative gap |H_eps - H_0| / |H_0|
+    (`_probe_result`).  Each mode is solved up to the eigenvalue the
+    TAIL_TOL guard needs at the smallest time.
 
     H_eps is reproducible to about 1e-8 relative, not to the last digit:
     eigh_tridiagonal bisects to an absolute tolerance of eps ||T||_1
@@ -308,26 +330,19 @@ def interior_probe(family: WarpFamily, schedule: Sequence[float],
     times = list(times)
     lam_top = _tail_lam_top(min(times))
     weights = [coincident_angular_weight(family, ell) for ell in range(ell_max + 1)]
+    mus = [family.cross_section.mu(ell) for ell in range(ell_max + 1)]
 
     # n >= 3 gives nu >= 1/2, so j_(nu,k) >= k pi and this many zeros reach
     # lam_top; the tail guard in the kernel sum checks it
     zero_count = math.ceil(math.sqrt(lam_top) / math.pi)
-    h0_modes = [ExactConeMode(family, family.cross_section.mu(ell), zero_count)
-                for ell in range(ell_max + 1)]
-    model = np.array([
-        sum(w * m.kernel(x, xp, t) for w, m in zip(weights, h0_modes))
-        for t in times])
+    h0_modes = [ExactConeMode(family, mu, zero_count) for mu in mus]
+    model = np.array(_weighted_sum(
+        weights, [[m.kernel(x, xp, t) for t in times] for m in h0_modes]))
 
-    mus = [family.cross_section.mu(ell) for ell in range(ell_max + 1)]
-    jobs = [(family, mu, eps, grid, lam_top, x, xp, times)
-            for eps in schedule for mu in mus]
-    eps_vals = np.empty((len(schedule), len(times)))
-    with _ordered_map(_interior_mode_values, jobs) as values:
-        for i in range(len(schedule)):
-            mode_vals = [next(values) for _ in mus]
-            for j in range(len(times)):
-                eps_vals[i, j] = sum(w * v[j]
-                                     for w, v in zip(weights, mode_vals))
+    jobs = [(_family_mode_solution, (family, mu, eps, grid), lam_top, x, xp,
+             times) for eps in schedule for mu in mus]
+    with _mode_sums(weights, jobs) as next_sum:
+        eps_vals = np.array([next_sum() for _ in schedule])
     return _probe_result("interior_F0101", schedule, times, model, eps_vals,
                          {})
 
@@ -346,14 +361,6 @@ def _truncated_mode_solution(family: WarpFamily, mu: float, radius: float,
     except SolverError as exc:
         raise SolverError(f"grid step h = {h} on the truncation radius "
                           f"{radius}: {exc}") from exc
-
-
-def _scaled_mode_value(job: tuple) -> float:
-    """One scaled-probe job: the kernel value at tau of one mode of the
-    fixed space truncated at `radius`."""
-    family, mu, radius, h, lam_top, rho, rhop, tau = job
-    sol = _truncated_mode_solution(family, mu, radius, h, lam_top)
-    return heat_from_spectrum(sol, rho, rhop, tau)
 
 
 def scaled_probe(family: WarpFamily, schedule: Sequence[float],
@@ -379,30 +386,24 @@ def scaled_probe(family: WarpFamily, schedule: Sequence[float],
     lam_top = _tail_lam_top(tau)
 
     radii = [2.0 * ref_radius, ref_radius] + [1.0 / eps for eps in schedule]
-    jobs = [(family, mu, radius, h, lam_top, rho, rhop, tau)
-            for radius in radii for mu in mus]
+    jobs = [(_truncated_mode_solution, (family, mu, radius, h), lam_top, rho,
+             rhop, [tau]) for radius in radii for mu in mus]
 
     # cross-domain h^2 discretization errors do not cancel exactly and
     # floor the monitor near 0.1 h^2 of the value; genuine truncation
     # influence shows up orders of magnitude above that
     monitor_rel_tol = max(1e-6, 0.2 * h * h)
-    with _ordered_map(_scaled_mode_value, jobs) as values:
-        def kernel_on_next_radius() -> float:
-            total = 0.0
-            for w in weights:
-                total += w * next(values)
-            return total
-
-        # the drift check comes before any schedule value is read, so it
-        # wins over a schedule radius's own refusal
-        ref = kernel_on_next_radius()
-        drift = abs(ref - kernel_on_next_radius())
-        if drift > monitor_rel_tol * abs(ref):
+    with _mode_sums(weights, jobs) as next_sum:
+        # the drift check comes before any schedule row is read, so it wins
+        # over a schedule radius's own refusal
+        ref = next_sum()
+        drift = abs(ref[0] - next_sum()[0])
+        if drift > monitor_rel_tol * abs(ref[0]):
             raise SolverError(
                 f"truncation-domain influence detected: reference radius "
                 f"{ref_radius} moves the probe by {drift:.3e}")
-        vals = np.array([[kernel_on_next_radius()] for _ in schedule])
-    return _probe_result("scaled_F1010", schedule, [tau], np.array([ref]),
+        vals = np.array([next_sum() for _ in schedule])
+    return _probe_result("scaled_F1010", schedule, [tau], np.array(ref),
                          vals, {"h": h, "ref_radius": ref_radius,
                                 "reference_drift": drift,
                                 "identity": "eps^n H_eps(eps rho, eps rho', "

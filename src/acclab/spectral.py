@@ -188,8 +188,7 @@ def _count_below(disc: _Discretization, lam_top: float) -> int:
 
 
 def solve_mode(op: RadialOperator, grid: SLGrid, count: Optional[int] = None,
-               tol: Optional[float] = None, *,
-               lam_top: Optional[float] = None) -> ModeSolution:
+               *, lam_top: Optional[float] = None) -> ModeSolution:
     """First `count` eigenpairs of a radial operator, or every eigenpair up
     to `lam_top` (give exactly one of the two).
 
@@ -227,8 +226,6 @@ def solve_mode(op: RadialOperator, grid: SLGrid, count: Optional[int] = None,
                             select="i", select_range=(0, count - 1))
     err = np.abs(lam2 - lam1) / 3.0
     lam = lam2 + (lam2 - lam1) / 3.0
-    if tol is not None and np.any(err > tol * np.maximum(1.0, np.abs(lam))):
-        raise SolverError("grid too coarse: Richardson estimate exceeds tolerance")
     if lam_top is not None and lam[-1] < lam_top:
         raise SolverError(f"{count} pairs reach only lambda = {lam[-1]:.6g}, "
                           f"below lam_top = {lam_top:.6g}: refine the grid")

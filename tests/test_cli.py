@@ -6,8 +6,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from acclab.cli import main
+from acclab.cli import _PARSERS, DEFAULT_CONFIG, main, read_config
 
 
 def run(argv):
@@ -233,6 +234,53 @@ def test_config_rejects_out_of_range_values(tmp_path, command, text, message):
     bad.write_text(text)
     with pytest.raises(SystemExit, match="config error: " + message):
         run(["--config", str(bad), "--out", str(tmp_path)] + command.split())
+
+
+_positive = st.floats(1e-3, 1e3)
+_positive_lists = st.lists(_positive, min_size=1, max_size=5)
+
+
+@st.composite
+def _configs(draw):
+    """Every key of DEFAULT_CONFIG, with a value in the range that both
+    `read_config(..., "solver")` and `read_config(..., "probes")` accept."""
+    mode_count = draw(st.integers(1, 20))
+    ell_max = st.integers(0, mode_count - 1)
+    return {
+        "model": {"n": draw(st.integers(3, 8)), "c": draw(_positive),
+                  "profile": draw(st.sampled_from(["capped", "neck"])),
+                  "mode_count": mode_count},
+        "schedule": {"eps": sorted(set(draw(_positive_lists)), reverse=True)},
+        "solver": {"grid_n": draw(st.integers(16, 8192)),
+                   "count": draw(st.integers(1, 100)),
+                   "ell_max": draw(ell_max), "rel_tol": draw(_positive)},
+        "probes": {"x": draw(_positive), "xprime": draw(_positive),
+                   "times": draw(_positive_lists), "rho": draw(_positive),
+                   "rhop": draw(_positive), "tau": draw(_positive),
+                   "scaled_eps": draw(_positive_lists),
+                   "ell_max": draw(ell_max), "h": draw(_positive),
+                   "ref_radius": draw(_positive)},
+    }
+
+
+def _ini_text(value) -> str:
+    return ",".join(map(repr, value)) if isinstance(value, list) else str(value)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_configs())
+def test_read_config_round_trip(tmp_path_factory, config):
+    assert {s: set(keys) for s, keys in config.items()} \
+        == {s: set(keys) for s, keys in DEFAULT_CONFIG.items()}
+    path = tmp_path_factory.mktemp("cfg") / "cfg.ini"
+    path.write_text("".join(
+        f"[{section}]\n" + "".join(f"{key} = {_ini_text(value)}\n"
+                                   for key, value in values.items())
+        for section, values in config.items()))
+    for reads in ("solver", "probes"):
+        cp = read_config(str(path), reads)
+        assert {s: {k: _PARSERS.get(k, str)(v) for k, v in cp[s].items()}
+                for s in cp.sections()} == config
 
 
 # config -> what its refusal must say: which [probes] value and radius

@@ -1,5 +1,7 @@
 """Model families: metric identities, indicial data, weights."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,21 @@ def test_radial_operator_coefficients():
     assert np.allclose(op.p(xs), f ** 2)
     assert np.allclose(op.w(xs), f ** 2)
     assert np.allclose(op.q(xs), 2.0 * np.ones_like(xs))  # mu f^(n-3), n=3
+
+
+@pytest.mark.parametrize("make", [WarpFamily.capped, WarpFamily.neck])
+def test_families_from_equal_arguments_are_equal(make):
+    # the probes pickle the family into every worker job
+    fam = make(n=3, c=0.8, mode_count=9)
+    twin = make(n=3, c=0.8, mode_count=9)
+    back = pickle.loads(pickle.dumps(fam))
+    assert fam == twin == back
+    assert hash(fam) == hash(twin) == hash(back)
+    assert fam != make(n=3, c=0.6, mode_count=9)
+    assert (back.cap is None) == (fam.profile == "neck")
+    if fam.cap is not None:
+        rho = np.linspace(0.0, 3.0, 61)
+        assert np.array_equal(back.cap(rho), fam.cap(rho))
 
 
 def test_neck_even_profile_regular_at_zero():

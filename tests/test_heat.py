@@ -423,6 +423,28 @@ def test_heat_from_spectrum_positive_at_interior_pairs(mode, x, xp, t):
     assert heat_from_spectrum(_probe_mode(*mode), x, xp, t) > 0.0
 
 
+_node_indices = st.integers(1, 511)  # interior nodes of the refined grid
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_probe_modes, _node_indices, _node_indices, st.floats(0.1, 1.0),
+       st.floats(0.1, 1.0))
+def test_heat_from_spectrum_semigroup_at_grid_nodes(mode, i, j, t1, t2):
+    # sum_m H_t1(x_i, x_m) H_t2(x_m, x_j) q_m = H_(t1+t2)(x_i, x_j), with q
+    # the node weights of the w-inner product of the unsubstituted modes
+    sol = _probe_mode(*mode)
+    xs, g = sol.xs, sol.operator.gamma
+    assert len(xs) == 513
+    q = np.zeros_like(xs)
+    keep = (xs > 0) | (g == 0)
+    q[keep] = sol.mass[keep] / xs[keep] ** (2 * g)
+    # H_t(x_k, x_m) for every node m: the eigen-sum at the nodes
+    left, right = (sol.u @ (np.exp(-sol.lam * t) * sol.u[k])
+                   for k, t in ((i, t1), (j, t2)))
+    assert np.sum(left * right * q) == pytest.approx(
+        heat_from_spectrum(sol, xs[i], xs[j], t1 + t2), rel=1e-10, abs=0)
+
+
 def test_probe_result_strict_decrease():
     model = np.array([2.0, 1.0])
     vals = np.array([[2.4, 1.1], [2.2, 1.05], [2.1, 1.02]])

@@ -180,8 +180,6 @@ def test_solver_guard_rails():
     op = fam.radial_operator(0.0, 0.1)
     with pytest.raises(SolverError, match="count"):
         solve_mode(op, SLGrid(16), 10)
-    with pytest.raises(SolverError, match="Richardson"):
-        solve_mode(op, SLGrid(16), 3, tol=1e-12)
     with pytest.raises(ValueError, match="16"):
         SLGrid(8)
 
