@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple
 
-from .corners import BMapSpec, CornerSpace, Monomial
+from .corners import BMapSpec, Monomial
 from .indexsets import (INFINITE_ORDER, IndexSet, IndexTerm, InfiniteOrder,
                         OrderData, indexset_scale, indexset_shift,
                         indexset_sum, indexset_union, leading_order)
@@ -246,52 +247,27 @@ def pushforward_orders(map_c: BMapSpec, orders: Dict[str, OrderData],
     return out
 
 
-@dataclass
-class ScPipeline:
-    """Cached triple-space data for the scattering composition pipeline:
-    the three projections beta_L, beta_R and beta_C, whose lifting tables
-    are read once, and the total density correction."""
+@lru_cache(maxsize=None)
+def _pipeline() -> Tuple[Dict[str, BMapSpec], Monomial]:
+    """The projections beta_L, beta_R and beta_C off the triple heat space,
+    and the total density correction of the pipeline as b-density orders.
 
-    triple: CornerSpace
-    double: CornerSpace
-    maps: Dict[str, BMapSpec]
-    density: Monomial
-
-    @staticmethod
-    def build() -> "ScPipeline":
-        maps = sc_triple_maps()
-        triple, double = maps["beta_C"].source, maps["beta_C"].target
-        return ScPipeline(triple, double, maps,
-                          _pipeline_density(triple, double, maps))
-
-
-def _pipeline_density(triple: CornerSpace, double: CornerSpace,
-                      maps: Dict[str, BMapSpec]) -> Monomial:
-    """Total density correction for the pipeline, as b-density orders.
-
-    Pull the heat half-density normalization back through all three
-    projections, multiply by the Jacobian factors of the triple-space
-    blowups and by one extra power of every face (density to b-density).
+    The correction pulls the heat half-density normalization back through
+    all three projections, multiplies by the Jacobian factors of the
+    triple-space blowups and by one extra power of every face (density to
+    b-density).
     """
+    maps = sc_triple_maps()
+    triple, double = maps["beta_C"].source, maps["beta_C"].target
     half = heat_half_density_weight(double)  # nu against the lift of mu
-    total = Monomial.one()
+    density = Monomial.one()
     for name in ("beta_L", "beta_R", "beta_C"):
-        total = total * maps[name].lift_monomial(half)
-    total = triple.density_lift(total)
-    for f in triple.face_names():
-        if not triple.face(f).reconstructed:
-            total = total.times_face(f, 1)
-    return total
-
-
-_PIPELINE: Optional[ScPipeline] = None
-
-
-def _pipeline() -> ScPipeline:
-    global _PIPELINE
-    if _PIPELINE is None:
-        _PIPELINE = ScPipeline.build()
-    return _PIPELINE
+        density = density * maps[name].lift_monomial(half)
+    density = triple.density_lift(density)
+    for f in triple.faces:
+        if not f.reconstructed:
+            density = density.times_face(f.name, 1)
+    return maps, density
 
 
 def _full_orders(el: CalculusOrders) -> Dict[str, OrderData]:
@@ -316,11 +292,11 @@ def sc_compose_pipeline(a: CalculusOrders, b: CalculusOrders) -> CalculusOrders:
     (-k_a > 0, -k_b > 0) hold.
     """
     _require_same(a, b, "sc")
-    pipe = _pipeline()
-    pa = pullback_orders(pipe.maps["beta_L"], _full_orders(a))
-    pb = pullback_orders(pipe.maps["beta_R"], _full_orders(b))
+    maps, density = _pipeline()
+    pa = pullback_orders(maps["beta_L"], _full_orders(a))
+    pb = pullback_orders(maps["beta_R"], _full_orders(b))
     combined = {f: indexset_sum(pa[f], pb[f]) for f in pa}
-    pushed = pushforward_orders(pipe.maps["beta_C"], combined, pipe.density)
+    pushed = pushforward_orders(maps["beta_C"], combined, density)
     for side in ("100", "010", "001"):
         if not isinstance(pushed[side], InfiniteOrder):
             raise CompositionError(f"pipeline produced a finite order at the "

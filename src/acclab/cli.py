@@ -90,6 +90,17 @@ def _reject(cp: configparser.ConfigParser, section: str, key: str, why) -> None:
                      f"{cp[section][key]}: {why}")
 
 
+def _require_schedule(cp: configparser.ConfigParser, section: str,
+                      key: str) -> None:
+    """`[schedule] eps` and `[probes] scaled_eps` take one rule: a
+    non-empty, strictly decreasing list of positive values."""
+    eps = _float_list(cp[section][key])
+    if (not eps or any(not e > 0 for e in eps)
+            or any(b >= a for a, b in zip(eps, eps[1:]))):
+        _reject(cp, section, key,
+                "need a strictly decreasing list of positive values")
+
+
 def read_config(path: Optional[str], reads: str) -> configparser.ConfigParser:
     """The defaults overlaid with the file at `path`, every section, key and
     value checked, and the ranges of the run section that the command
@@ -116,11 +127,7 @@ def read_config(path: Optional[str], reads: str) -> configparser.ConfigParser:
                 _PARSERS.get(key, str)(value)
             except ValueError as exc:
                 _reject(cp, section, key, exc)
-    eps = _float_list(cp["schedule"]["eps"])
-    if (not eps or any(not e > 0 for e in eps)
-            or any(b >= a for a, b in zip(eps, eps[1:]))):
-        _reject(cp, "schedule", "eps",
-                "need a strictly decreasing list of positive values")
+    _require_schedule(cp, "schedule", "eps")
     if float(cp["solver"]["rel_tol"]) <= 0:
         raise SystemExit("config error: tolerances must be positive")
     if cp["model"]["profile"] not in ("capped", "neck"):
@@ -138,6 +145,7 @@ def read_config(path: Optional[str], reads: str) -> configparser.ConfigParser:
             if not values or min(values) <= 0:
                 _reject(cp, "probes", key,
                         "need a non-empty list of positive values")
+        _require_schedule(cp, "probes", "scaled_eps")
         for key in ("rho", "rhop", "tau", "h", "ref_radius"):
             if not float(cp["probes"][key]) > 0:
                 _reject(cp, "probes", key, "need a positive value")

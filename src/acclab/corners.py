@@ -182,10 +182,6 @@ class BlowupCenter:
 class HistoryEvent:
     center: BlowupCenter
     face_name: str
-    component_orders: Tuple[Tuple[str, Fraction], ...]
-
-    def orders(self) -> Dict[str, Fraction]:
-        return dict(self.component_orders)
 
 
 @dataclass
@@ -267,43 +263,26 @@ class CornerSpace:
                 self.components[comp] = self.components[comp].times_face(name, w)
         self.faces.append(Face(name, origin, codim=center.codim,
                                geometry=geometry))
-        self.history.append(HistoryEvent(center, name,
-                                         tuple(sorted(orders.items()))))
+        self.history.append(HistoryEvent(center, name))
 
     # -- representative lifts ----------------------------------------------
     def lift_representative(self, rep: Representative) -> Monomial:
-        """Exact monomial lift of a radial-type distance function."""
-        out: Dict[str, Fraction] = {}
-        # original faces: vanishing read off the initial component monomials
-        for f in self.faces:
-            if f.origin == ORIGIN_BOUNDARY:
-                comp_orders = {}
-                for comp in self.components:
-                    e = self.initial_exponent(comp, f.name)
-                    comp_orders[comp] = e
-                w = rep.order_at(comp_orders)
-                if w:
-                    out[f.name] = w
-        for ev in self.history:
-            w = rep.order_at(ev.orders())
-            if w:
-                out[ev.face_name] = w
-        for fname, w in out.items():
-            if w < 0 or Fraction(w).denominator != 1:
-                raise BMapError(
-                    f"representative lifts with non-integral order {w} at {fname}")
-        return Monomial.from_dict({k: int(v) for k, v in out.items()})
+        """Exact monomial lift of a radial-type distance function.
 
-    def initial_exponent(self, comp: str, face: str) -> Fraction:
-        """Exponent of an original face in a component's initial lift.
-
-        Blowups only append new faces, so the current exponent at an
-        original face equals the initial one.
+        Blowups only append faces, so the exponent of a face in a component's
+        lift is that component's order of vanishing at the face.
         """
-        e = self.components[comp].exponent(face)
-        if not e.is_integer():
-            raise BMapError(f"symbolic exponent in lift of {comp}")
-        return Fraction(int(e.const))
+        lifts = {c: self.components[c].integer_exponents()
+                 for c, _ in rep.components if c in self.components}
+        out: Dict[str, int] = {}
+        for f in self.faces:
+            w = rep.order_at({c: e.get(f.name, 0) for c, e in lifts.items()})
+            if w < 0 or w.denominator != 1:
+                raise BMapError(f"representative lifts with non-integral "
+                                f"order {w} at {f.name}")
+            if w:
+                out[f.name] = int(w)
+        return Monomial.from_dict(out)
 
     # -- densities ----------------------------------------------------------
     def jacobian_exponent(self, face_name: str) -> AffineExpr:

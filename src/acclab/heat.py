@@ -24,8 +24,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -186,19 +185,14 @@ def crank_nicolson_mode(op, grid: SLGrid, xp: float, times: Sequence[float],
 
     out = []
     t_prev = 0.0
-    band_cache: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
     for t in times:
         dt = (t - t_prev) / substeps
         if dt <= 0:
             raise SolverError("times must be increasing")
-        key = round(dt, 15)
-        if key not in band_cache:
-            ab_l = np.zeros((3, len(xn)))
-            ab_l[0, 1:] = 0.5 * dt * off / mass[:-1]
-            ab_l[1] = 1.0 + 0.5 * dt * diag / mass
-            ab_l[2, :-1] = 0.5 * dt * off / mass[1:]
-            band_cache[key] = ab_l
-        ab_l = band_cache[key]
+        ab_l = np.zeros((3, len(xn)))
+        ab_l[0, 1:] = 0.5 * dt * off / mass[:-1]
+        ab_l[1] = 1.0 + 0.5 * dt * diag / mass
+        ab_l[2, :-1] = 0.5 * dt * off / mass[1:]
         for _ in range(substeps):
             rhs = u - 0.5 * dt / mass * (
                 np.r_[0.0, off * u[:-1]] + diag * u + np.r_[off * u[1:], 0.0])
@@ -352,7 +346,8 @@ def _truncated_mode_solution(family: WarpFamily, mu: float, radius: float,
     op = family.radial_operator_fixed_space(mu, radius)
     n = int(round(radius / h))
     if abs(n * h - radius) > 1e-12:
-        raise SolverError("truncation radius must be a grid multiple")
+        raise SolverError(f"grid step h = {h} does not divide the "
+                          f"truncation radius {radius}")
     if n < 16:
         raise SolverError(f"grid step h = {h} leaves {n} cells on the "
                           f"truncation radius {radius}; need at least 16")

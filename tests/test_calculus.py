@@ -171,8 +171,8 @@ def test_sc_compose_associative_in_k_and_sets():
 # -- pushforward ----------------------------------------------------------------
 
 def test_pullback_gives_smooth_set_on_faces_without_lift():
-    pipe = _pipeline()
-    lift = pipe.maps["beta_L"]
+    maps, _ = _pipeline()
+    lift = maps["beta_L"]
     bare = [f for f, column in lift.columns.items() if not column]
     assert bare
     orders = {"110": IndexSet.of(1), "220": IndexSet.of((2, 1))}
@@ -187,37 +187,37 @@ def test_pullback_gives_smooth_set_on_faces_without_lift():
 
 
 def test_pushforward_all_infinite_stays_infinite():
-    pipe = _pipeline()
-    orders = {f: INFINITE_ORDER for f in pipe.triple.face_names()}
-    out = pushforward_orders(pipe.maps["beta_C"], orders, pipe.density)
+    maps, density = _pipeline()
+    orders = {f: INFINITE_ORDER for f in maps["beta_C"].source.face_names()}
+    out = pushforward_orders(maps["beta_C"], orders, density)
     assert all(v is INFINITE_ORDER for v in out.values())
 
 
 def test_pushforward_rejects_non_b_fibration():
     from acclab.spaces import published_sc_triple_maps
-    pipe = _pipeline()
-    orders = {f: INFINITE_ORDER for f in pipe.triple.face_names()}
+    maps, density = _pipeline()
+    orders = {f: INFINITE_ORDER for f in maps["beta_C"].source.face_names()}
     with pytest.raises(CompositionError, match="not a b-fibration"):
         pushforward_orders(published_sc_triple_maps()["beta_C"],
-                           orders, pipe.density)
+                           orders, density)
 
 
 def test_pushforward_single_face_passthrough():
-    pipe = _pipeline()
-    orders = {f: INFINITE_ORDER for f in pipe.triple.face_names()}
+    maps, density = _pipeline()
+    orders = {f: INFINITE_ORDER for f in maps["beta_C"].source.face_names()}
     orders["11100"] = IndexSet.of(5)
-    out = pushforward_orders(pipe.maps["beta_C"], orders, pipe.density)
+    out = pushforward_orders(maps["beta_C"], orders, density)
     lead = leading_order(out["110"], n=3)
     # 5 plus the density correction 3/2 at F_11100
     assert lead.alpha.subs(n=3) == Fraction(13, 2)
 
 
 def test_pushforward_flags_coincident_orders():
-    pipe = _pipeline()
-    orders = {f: INFINITE_ORDER for f in pipe.triple.face_names()}
+    maps, density = _pipeline()
+    orders = {f: INFINITE_ORDER for f in maps["beta_C"].source.face_names()}
     orders["d3"] = IndexSet.of(affine(5) - (N + 5) / 2)
     orders["d22"] = IndexSet.of(affine(5) - (N + 3) / 2)  # same corrected leader
-    out = pushforward_orders(pipe.maps["beta_C"], orders, pipe.density)
+    out = pushforward_orders(maps["beta_C"], orders, density)
     assert out["d2"].name and "coincident" in out["d2"].name
 
 

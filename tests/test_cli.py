@@ -199,6 +199,9 @@ def test_config_rejects_bad_values(tmp_path, text, message):
      "\\[probes\\] times = : need a non-empty list of positive values"),
     ("heat --regime scaled", "[probes]\nscaled_eps =\n",
      "\\[probes\\] scaled_eps = : need a non-empty list"),
+    ("heat --regime scaled", "[probes]\nscaled_eps = 0.4,0.5\n",
+     "\\[probes\\] scaled_eps = 0.4,0.5: need a strictly decreasing list "
+     "of positive values"),
     ("spectrum", "[schedule]\neps = 0.2,-0.1\n",
      "\\[schedule\\] eps = 0.2,-0.1: need a strictly decreasing list of "
      "positive values"),
@@ -257,7 +260,8 @@ def _configs(draw):
         "probes": {"x": draw(_positive), "xprime": draw(_positive),
                    "times": draw(_positive_lists), "rho": draw(_positive),
                    "rhop": draw(_positive), "tau": draw(_positive),
-                   "scaled_eps": draw(_positive_lists),
+                   "scaled_eps": sorted(set(draw(_positive_lists)),
+                                        reverse=True),
                    "ell_max": draw(ell_max), "h": draw(_positive),
                    "ref_radius": draw(_positive)},
     }
@@ -288,6 +292,9 @@ _REFUSALS = {
     "[probes]\nh = 0.3\n":
         "grid step h = 0.3 on the truncation radius 12.0: count > N/4",
     "[probes]\nrho = 5\n": "truncation-domain influence detected",
+    "[probes]\nscaled_eps = 0.5,0.3\n":
+        "grid step h = 0.0078125 does not divide the truncation radius "
+        "3.3333333333333335",
 }
 
 

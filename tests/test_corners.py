@@ -3,10 +3,11 @@
 import pytest
 
 from acclab.corners import (BMapError, BlowupCenter, CornerSpace, Monomial,
-                            parse_monomial)
-from acclab.spaces import (acc_double_space, acc_heat_space, b_heat_space,
-                           conic_heat_space, heat_half_density_weight,
-                           sc_heat_space, sc_triple_heat_space)
+                            Representative, parse_monomial)
+from acclab.spaces import (SPACE_KINDS, acc_double_space, acc_heat_space,
+                           b_heat_space, build_space, conic_heat_space,
+                           heat_half_density_weight, sc_heat_space,
+                           sc_triple_heat_space)
 from acclab.symbolic import N, affine
 
 
@@ -89,6 +90,15 @@ def test_blowup_order_independence_triple_pairs(rng_permutations=None):
         for ev in events:
             sp.blow_up(ev.center, ev.face_name)
         assert {k: str(v) for k, v in sp.components.items()} == baseline
+
+
+@pytest.mark.parametrize("kind", SPACE_KINDS)
+def test_single_component_representative_lifts_as_the_component(kind):
+    sp = build_space(kind)
+    assert sp.components
+    for comp in sp.components:
+        assert sp.lift_representative(Representative(((comp, 1),), 1)) \
+            == sp.lift(comp)
 
 
 def test_every_canonical_lift_is_monomial():
