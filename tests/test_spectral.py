@@ -450,6 +450,62 @@ def test_spectral_flow_schedule_validation():
         spectral_flow(fam, [0.2, 0.1], SLGrid(256), 2, 1)
 
 
+def _brute_force_verdict(flow, reference):
+    """The verdict lists and per-cluster matches of `flow`, recomputed from
+    its clusters and the reference by full pairwise scans."""
+    values = [e["lam"] for e in reference.entries]
+
+    def same(a, b):
+        return abs(a - b) <= 1e-9 * max(1.0, abs(a))
+
+    # a distinct reference value is one with no equal value before it; its
+    # multiplicity sums every entry equal to it
+    distinct = [(v, sum(e["mult"] for e in reference.entries
+                        if same(v, e["lam"])))
+                for i, v in enumerate(values)
+                if not any(same(u, v) for u in values[:i])]
+    matches, unmatched_clusters, mismatches = [], [], []
+    for cl in flow.clusters:
+        gaps = [abs(v - cl.center) for v, _ in distinct]
+        value, mult = distinct[gaps.index(min(gaps))]
+        if min(gaps) <= cl.tolerance:
+            matches.append((value, min(gaps)))
+            if cl.multiplicity != mult:
+                mismatches.append((cl.center, cl.multiplicity, mult))
+        else:
+            matches.append((None, min(gaps)))
+            unmatched_clusters.append(cl.center)
+    top = max(cl.center + cl.tolerance for cl in flow.clusters)
+    matched = [value for value, _ in matches]
+    unmatched_refs = [v for v, _ in distinct if v <= top and v not in matched]
+    return matches, {"unmatched_clusters": unmatched_clusters,
+                     "unmatched_references": unmatched_refs,
+                     "multiplicity_mismatches": mismatches}
+
+
+@pytest.mark.parametrize("profile, c, unmatched, unmatched_refs, mismatched", [
+    ("capped", 0.8, 2, 2, 0),
+    ("neck", 1.0, 3, 0, 3),
+])
+def test_failing_flow_verdict_equals_brute_force(profile, c, unmatched,
+                                                  unmatched_refs, mismatched):
+    # a tolerance far below the grid error fails the verdict on purpose
+    fam = getattr(WarpFamily, profile)(n=3, c=c)
+    flow = spectral_flow(fam, SCHEDULE, SLGrid(256), count=3, ell_max=2,
+                         rel_tol=1e-6)
+    matches, lists = _brute_force_verdict(
+        flow, conic_reference_spectrum(fam, 3, 2))
+    v = flow.verdict
+    assert [(cl.matched_reference, cl.gap) for cl in flow.clusters] == matches
+    assert {key: v[key] for key in lists} == lists
+    assert (len(v["unmatched_clusters"]), len(v["unmatched_references"]),
+            len(v["multiplicity_mismatches"])) == (unmatched, unmatched_refs,
+                                                   mismatched)
+    assert v["forward_inclusion"] is (unmatched == 0)
+    assert v["reverse_inclusion"] is (unmatched_refs == 0)
+    assert v["multiplicities_match"] is (mismatched == 0)
+
+
 def test_flow_upper_bound_direction_capped():
     # lambda_(l,k)(eps) <= bar-lambda_(l,k) + tol for small eps: the minimax
     # direction, checked per curve against its own mode's reference
