@@ -19,6 +19,7 @@ import argparse
 import configparser
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -71,16 +72,24 @@ DEFAULT_CONFIG = {
 }
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("need a finite value")
+    return value
+
+
 def _float_list(text: str) -> List[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return [_finite(tok) for tok in text.split(",") if tok.strip()]
 
 
 # the parser of each value, by key (the same in every section); keys not
 # named here hold text
 _PARSERS = {
     "n": int, "mode_count": int, "grid_n": int, "count": int, "ell_max": int,
-    "c": float, "rel_tol": float, "x": float, "xprime": float, "rho": float,
-    "rhop": float, "tau": float, "h": float, "ref_radius": float,
+    "c": _finite, "rel_tol": _finite, "x": _finite, "xprime": _finite,
+    "rho": _finite, "rhop": _finite, "tau": _finite, "h": _finite,
+    "ref_radius": _finite,
     "eps": _float_list, "times": _float_list, "scaled_eps": _float_list,
 }
 
@@ -165,14 +174,13 @@ def family_from_config(cp) -> WarpFamily:
 
 def _check_probe_points(cp, fam: WarpFamily) -> None:
     """`x` and `xprime` must lie in the radial domain that the interior
-    probe solves on, at every eps of the schedule, and off the cone tip:
-    the conic limit kernel is defined for x > 0 only."""
-    for eps in _float_list(cp["schedule"]["eps"]):
-        lo, hi = fam.domain(eps)
-        for key in ("x", "xprime"):
-            if not lo <= float(cp["probes"][key]) <= hi:
-                _reject(cp, "probes", key, f"outside the radial domain "
-                        f"[{lo}, {hi}] of the interior probe at eps = {eps}")
+    probe solves on, and off the cone tip: the conic limit kernel is defined
+    for x > 0 only."""
+    lo, hi = fam.domain
+    for key in ("x", "xprime"):
+        if not lo <= float(cp["probes"][key]) <= hi:
+            _reject(cp, "probes", key, f"outside the radial domain "
+                    f"[{lo}, {hi}] of the interior probe")
     for key in ("x", "xprime"):
         if not float(cp["probes"][key]) > 0:
             _reject(cp, "probes", key, "need a positive value: the conic "

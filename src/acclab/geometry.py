@@ -152,7 +152,6 @@ class WarpFamily:
     cross_section: CrossSection
     profile: str  # 'neck' or 'capped'
     c: float = 1.0
-    outer_bc: str = "dirichlet"
     # derived from profile and c, so it takes no part in equality or hashing
     cap: Optional[CapProfile] = field(init=False, repr=False, compare=False)
 
@@ -161,25 +160,27 @@ class WarpFamily:
             raise ValueError("dimension n >= 3 required")
         if self.c <= 0:
             raise ValueError("cone slope c must be positive")
+        if not math.isfinite(self.c):
+            raise ValueError(f"cone slope c must be finite, got {self.c}")
         if self.profile not in ("neck", "capped"):
             raise ValueError(f"unknown profile {self.profile!r}")
-        if self.outer_bc not in ("dirichlet", "neumann"):
-            raise ValueError(f"unknown outer bc {self.outer_bc!r}")
         object.__setattr__(self, "cap", CapProfile(self.c)
                            if self.profile == "capped" else None)
 
     @staticmethod
-    def capped(n=3, c=1.0, mode_count=6, outer_bc="dirichlet") -> "WarpFamily":
+    def capped(n=3, c=1.0, mode_count=6) -> "WarpFamily":
         cs = CrossSection.round_sphere(n - 1, mode_count)
-        return WarpFamily(n, cs, "capped", c=c, outer_bc=outer_bc)
+        return WarpFamily(n, cs, "capped", c=c)
 
     @staticmethod
-    def neck(n=3, c=1.0, mode_count=6, outer_bc="dirichlet") -> "WarpFamily":
+    def neck(n=3, c=1.0, mode_count=6) -> "WarpFamily":
         cs = CrossSection.round_sphere(n - 1, mode_count)
-        return WarpFamily(n, cs, "neck", c=c, outer_bc=outer_bc)
+        return WarpFamily(n, cs, "neck", c=c)
 
     # -- profile -----------------------------------------------------------
-    def domain(self, eps: float) -> Tuple[float, float]:
+    @property
+    def domain(self) -> Tuple[float, float]:
+        """The x-interval, the same at every eps."""
         return (-1.0, 1.0) if self.profile == "neck" else (0.0, 1.0)
 
     def f(self, x, eps: float):
@@ -219,7 +220,7 @@ class WarpFamily:
     # -- metric -------------------------------------------------------------
     def metric_eval(self, x: float, eps: float) -> Tuple[float, float]:
         """(g_xx, angular factor f^2): the metric against dx^2 + f^2 h."""
-        lo, hi = self.domain(eps)
+        lo, hi = self.domain
         if not lo <= x <= hi:
             raise ValueError(f"x = {x} outside the domain [{lo}, {hi}]")
         return 1.0, float(self.f(x, eps) ** 2)
@@ -234,23 +235,18 @@ class WarpFamily:
     def radial_operator(self, mu: float, eps: float) -> "RadialOperator":
         """The mode-mu operator on the whole domain: the cone tip (eps = 0)
         takes the Friedrichs gamma_+ of slope c and the smooth cap that of
-        slope 1; the neck has no singular end, so both ends take the outer
-        condition."""
+        slope 1; the neck has no singular end, so both its ends are outer
+        ends.  Every outer end is Dirichlet, as in the conic references."""
         if mu < 0:
             raise ValueError("cross-section eigenvalue mu must be >= 0")
         if eps == 0.0 and self.profile == "neck":
             raise ValueError("the neck limit at eps = 0 is two cones joined at "
                              "the tip, not one radial operator: its spectrum "
                              "is the doubled conic reference")
-        outer = self.outer_bc == "dirichlet"
-        if eps == 0.0:
-            gamma, left = indicial_roots(self.n, mu, self.c).gamma_plus, False
-        elif self.profile == "capped":
-            gamma, left = indicial_roots(self.n, mu, 1.0).gamma_plus, False
-        else:
-            gamma, left = 0.0, outer
-        return RadialOperator(self, mu, eps, self.domain(eps), gamma,
-                              (left, outer))
+        gamma = 0.0 if self.profile == "neck" else indicial_roots(
+            self.n, mu, self.c if eps == 0.0 else 1.0).gamma_plus
+        return RadialOperator(self, mu, eps, self.domain, gamma,
+                              (self.profile == "neck", True))
 
     def radial_operators_split(self, mu: float, eps: float) -> List[Tuple[str, "RadialOperator"]]:
         """Operators whose spectra merge to the full one, with branch labels.
@@ -260,9 +256,8 @@ class WarpFamily:
         the odd one.  Other cases are a single branch.
         """
         if self.profile == "neck" and eps > 0.0:
-            outer = self.outer_bc == "dirichlet"
             return [(branch, RadialOperator(self, mu, eps, (0.0, 1.0), 0.0,
-                                            (branch == "odd", outer)))
+                                            (branch == "odd", True)))
                     for branch in ("even", "odd")]
         return [("", self.radial_operator(mu, eps))]
 

@@ -316,8 +316,7 @@ def assemble_spectrum(family: WarpFamily, eps: float, grid: SLGrid,
     strict=True the call fails when it does not cover the requested range.
     """
     if eps == 0.0 and family.profile == "neck":
-        ref = conic_reference_spectrum(family, count, ell_max)
-        return ref
+        return conic_reference_spectrum(family, count, ell_max)
     res = EigenResult(eps)
     for ell in range(ell_max + 1):
         mu = family.cross_section.mu(ell)
@@ -331,8 +330,7 @@ def assemble_spectrum(family: WarpFamily, eps: float, grid: SLGrid,
                                     "err": float(sol.lam_err[k])})
     res = res.sorted()
     if ell_max + 1 < len(family.cross_section):
-        lo, hi = family.domain(eps)
-        xs = np.linspace(lo, hi, 512)
+        xs = np.linspace(*family.domain, 512)
         fmax = float(np.max(family.f(xs, eps)))
         res.complete_below = family.cross_section.mu(ell_max + 1) / fmax ** 2
         top = res.entries[-1]["lam"] if res.entries else 0.0
@@ -389,12 +387,18 @@ def _power_fit(schedule: Sequence[float], vals: Sequence[float],
 
 
 def _empirical_rate(schedule: Sequence[float], vals: Sequence[float]) -> float:
+    """The order p of lambda(eps) ~ lambda_0 + a eps^p from the last three
+    points, log(d1/d2) / log(eps ratio).  That reading needs a geometric
+    tail: nan unless the last three eps values are geometric to a relative
+    1e-12, and nan unless the differences keep one sign and shrink."""
     if len(vals) < 3:
+        return float("nan")
+    r = schedule[-2] / schedule[-1]
+    if abs(schedule[-3] / schedule[-2] - r) > 1e-12 * r:
         return float("nan")
     d1, d2 = vals[-2] - vals[-3], vals[-1] - vals[-2]
     if d1 == 0.0 or d2 == 0.0 or d1 * d2 <= 0 or abs(d2) >= abs(d1):
         return float("nan")
-    r = schedule[-2] / schedule[-1]
     return math.log(abs(d1 / d2)) / math.log(r)
 
 
@@ -443,42 +447,36 @@ def spectral_flow(family: WarpFamily, schedule: Sequence[float], grid: SLGrid,
 
     # no doubling factor on the cluster side: the neck's even/odd curve
     # pairs enter clusters separately and double the count on their own
-    rates: Dict[CurveKey, float] = {}
-    estimates: Dict[CurveKey, float] = {}
-    for key, vals in curves.items():
-        estimates[key] = _power_fit(schedule, vals, curve_powers(family, key[1]))
-        rates[key] = _empirical_rate(schedule, vals)
+    rates = {key: _empirical_rate(schedule, vals)
+             for key, vals in curves.items()}
+    estimates = {key: _power_fit(schedule, vals, curve_powers(family, key[1]))
+                 for key, vals in curves.items()}
 
-    reference = conic_reference_spectrum(family, count, ell_max)
-
+    # each curve joins the first cluster whose window holds it, or starts one
     clusters: List[Cluster] = []
     for key in sorted(estimates, key=lambda k: estimates[k]):
         est = estimates[key]
         tol = max(3.0 * errs[key], rel_tol * abs(est))
-        placed = False
-        for cl in clusters:
-            if abs(cl.center - est) <= max(tol, cl.tolerance):
-                cl.members.append({"key": key, **meta[key], "estimate": est})
-                cl.multiplicity += meta[key]["mult"]
-                cl.tolerance = max(cl.tolerance, tol)
-                placed = True
-                break
-        if not placed:
-            clusters.append(Cluster(est, meta[key]["mult"],
-                                    [{"key": key, **meta[key], "estimate": est}],
-                                    None, math.inf, tol))
+        cl = next((cl for cl in clusters
+                   if abs(cl.center - est) <= max(tol, cl.tolerance)), None)
+        if cl is None:
+            cl = Cluster(est, 0, [], None, math.inf, tol)
+            clusters.append(cl)
+        cl.members.append({"key": key, **meta[key], "estimate": est})
+        cl.multiplicity += meta[key]["mult"]
+        cl.tolerance = max(cl.tolerance, tol)
 
+    # the reference is sorted, so a value can equal only the last distinct one
     ref_distinct: List[Tuple[float, int]] = []
-    for e in reference.entries:
-        for i, (c, m) in enumerate(ref_distinct):
+    for e in conic_reference_spectrum(family, count, ell_max).entries:
+        if ref_distinct:
+            c, m = ref_distinct[-1]
             if abs(c - e["lam"]) <= 1e-9 * max(1.0, abs(c)):
-                ref_distinct[i] = (c, m + e["mult"])
-                break
-        else:
-            ref_distinct.append((e["lam"], e["mult"]))
+                ref_distinct[-1] = (c, m + e["mult"])
+                continue
+        ref_distinct.append((e["lam"], e["mult"]))
 
-    unmatched_clusters = []
-    mult_mismatch = []
+    unmatched_clusters, mult_mismatch = [], []
     for cl in clusters:
         best = min(ref_distinct, key=lambda rm: abs(rm[0] - cl.center))
         cl.gap = abs(best[0] - cl.center)
@@ -490,13 +488,9 @@ def spectral_flow(family: WarpFamily, schedule: Sequence[float], grid: SLGrid,
             unmatched_clusters.append(cl.center)
 
     top = max((cl.center + cl.tolerance for cl in clusters), default=0.0)
-    unmatched_refs = []
-    for c, m in ref_distinct:
-        if c > top:
-            continue
-        hits = [cl for cl in clusters if cl.matched_reference == c]
-        if not hits:
-            unmatched_refs.append(c)
+    matched = {cl.matched_reference for cl in clusters}
+    unmatched_refs = [c for c, _ in ref_distinct
+                      if c <= top and c not in matched]
 
     verdict = {
         "forward_inclusion": not unmatched_clusters,

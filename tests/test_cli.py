@@ -173,6 +173,15 @@ def test_config_rejects_unknown_sections_and_keys(tmp_path, text, message):
     ("[model]\nprofile = neck\nc = -1\n",
      "\\[model\\] cone slope c must be positive"),
     ("[model]\nn = 2\n", "\\[model\\] dimension n >= 3 required"),
+    ("[model]\nc = nan\n", "\\[model\\] c = nan: need a finite value"),
+    ("[model]\nc = inf\n", "\\[model\\] c = inf: need a finite value"),
+    ("[schedule]\neps = inf,0.1,0.05,0.025\n",
+     "\\[schedule\\] eps = inf,0.1,0.05,0.025: need a finite value"),
+    ("[solver]\nrel_tol = nan\n",
+     "\\[solver\\] rel_tol = nan: need a finite value"),
+    ("[probes]\ntimes = 0.1,inf\n",
+     "\\[probes\\] times = 0.1,inf: need a finite value"),
+    ("[probes]\ntau = inf\n", "\\[probes\\] tau = inf: need a finite value"),
     ("n = 3\n", "cannot read .*no section headers"),
     (None, "cannot read .*No such file"),                 # no file at all
 ])

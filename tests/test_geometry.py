@@ -54,6 +54,14 @@ def test_metric_eval_capped_cone_region_exact():
     assert ang == pytest.approx((0.8 * x) ** 2, rel=1e-14)
 
 
+@pytest.mark.parametrize("make", [WarpFamily.capped, WarpFamily.neck])
+@pytest.mark.parametrize("c", [float("nan"), float("inf")])
+def test_family_refuses_non_finite_slope(make, c):
+    # nan <= 0 is false, so the sign check alone lets nan through
+    with pytest.raises(ValueError, match="cone slope c must be finite"):
+        make(n=3, c=c)
+
+
 def test_metric_eval_outside_domain():
     fam = WarpFamily.capped(n=3, c=1.0)
     with pytest.raises(ValueError, match="outside"):

@@ -1,6 +1,7 @@
 """Model kernels, degeneration probes, Volterra series, envelope checks."""
 
 import concurrent.futures
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -210,8 +211,10 @@ def test_stochastic_mass_bound():
     assert mass_total < 1.0 + 1e-10
     assert 0.5 < mass_total  # boundary loss only
 
-    closed = WarpFamily.neck(n=3, c=1.0, outer_bc="neumann")
-    soln = solve_mode(closed.radial_operator(0.0, 0.2), SLGrid(1024), 40)
+    closed = dataclasses.replace(
+        WarpFamily.neck(n=3, c=1.0).radial_operator(0.0, 0.2),
+        dirichlet=(False, False))
+    soln = solve_mode(closed, SLGrid(1024), 40)
     lamt = np.exp(-soln.lam * t)
     ux = soln.interp(0.4)[0]
     mass_closed = float(np.sum(

@@ -1,5 +1,6 @@
 """Eigensolver oracles, spectral flow, minimax bounds."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -198,9 +199,9 @@ def _boundary_cases():
                  (True, False)),
         "neck dirichlet": (neck.radial_operator(2.0, 0.1), (-1.0, 1.0), 0.0,
                            (False, False)),
-        "neck neumann": (WarpFamily.neck(n=3, c=0.8, outer_bc="neumann")
-                         .radial_operator(2.0, 0.1), (-1.0, 1.0), 0.0,
-                         (True, True)),
+        "neck neumann": (dataclasses.replace(neck.radial_operator(2.0, 0.1),
+                                             dirichlet=(False, False)),
+                         (-1.0, 1.0), 0.0, (True, True)),
         "neck even": (halves["even"], (0.0, 1.0), 0.0, (True, False)),
         "neck odd": (halves["odd"], (0.0, 1.0), 0.0, (False, False)),
         "fixed space": (capped.radial_operator_fixed_space(2.0, 3.0),
@@ -504,6 +505,19 @@ def test_failing_flow_verdict_equals_brute_force(profile, c, unmatched,
     assert v["forward_inclusion"] is (unmatched == 0)
     assert v["reverse_inclusion"] is (unmatched_refs == 0)
     assert v["multiplicities_match"] is (mismatched == 0)
+
+
+@pytest.mark.parametrize("schedule, rate", [
+    ([0.2, 0.1, 0.05, 0.025], 2.0),    # geometric tail: the true order
+    ([0.2, 0.1, 0.05, 0.04], math.nan),  # not geometric: no reading
+])
+def test_empirical_rate_reads_geometric_tails_only(schedule, rate):
+    vals = [1.0 + 2.0 * e ** 2 for e in schedule]
+    got = spectral._empirical_rate(schedule, vals)
+    if math.isnan(rate):
+        assert math.isnan(got)
+    else:
+        assert got == pytest.approx(rate, rel=1e-9)
 
 
 def test_flow_upper_bound_direction_capped():
