@@ -445,14 +445,14 @@ def spectral_flow(family: WarpFamily, schedule: Sequence[float], grid: SLGrid,
             errs[key] = max(errs.get(key, 0.0), e["err"])
             meta[key] = {"mu": e["mu"], "mult": e["mult"]}
 
-    # no doubling factor on the cluster side: the neck's even/odd curve
-    # pairs enter clusters separately and double the count on their own
     rates = {key: _empirical_rate(schedule, vals)
              for key, vals in curves.items()}
     estimates = {key: _power_fit(schedule, vals, curve_powers(family, key[1]))
                  for key, vals in curves.items()}
 
-    # each curve joins the first cluster whose window holds it, or starts one
+    # each curve joins the first cluster whose window holds it, or starts one;
+    # no doubling factor on the cluster side: the neck's even/odd curve
+    # pairs enter clusters separately and double the count on their own
     clusters: List[Cluster] = []
     for key in sorted(estimates, key=lambda k: estimates[k]):
         est = estimates[key]
