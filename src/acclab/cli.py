@@ -174,13 +174,18 @@ def family_from_config(cp) -> WarpFamily:
 
 def _check_probe_points(cp, fam: WarpFamily) -> None:
     """`x` and `xprime` must lie in the radial domain that the interior
-    probe solves on, and off the cone tip: the conic limit kernel is defined
-    for x > 0 only."""
+    probe solves on, below its outer Dirichlet end (where both kernels
+    vanish, so the relative gap is 0/0), and off the cone tip: the conic
+    limit kernel is defined for x > 0 only."""
     lo, hi = fam.domain
     for key in ("x", "xprime"):
-        if not lo <= float(cp["probes"][key]) <= hi:
+        value = float(cp["probes"][key])
+        if not lo <= value <= hi:
             _reject(cp, "probes", key, f"outside the radial domain "
                     f"[{lo}, {hi}] of the interior probe")
+        if value == hi:
+            _reject(cp, "probes", key, f"on the outer Dirichlet end {hi} of "
+                    f"the interior probe, where both kernels vanish")
     for key in ("x", "xprime"):
         if not float(cp["probes"][key]) > 0:
             _reject(cp, "probes", key, "need a positive value: the conic "
@@ -337,7 +342,7 @@ def cmd_spectrum(args) -> int:
     for e in ref.entries:
         lines.append(f"0,{fmt(e['mu'])},{e['mult']},{e['k']},{fmt(e['lam'])},0")
     for eps in eps_list:
-        spec = assemble_spectrum(fam, eps, grid, count, ell_max, strict=False)
+        spec = assemble_spectrum(fam, eps, grid, count, ell_max)
         for e in spec.entries:
             lines.append(f"{fmt(eps)},{fmt(e['mu'])},{e['mult']},{e['k']},"
                          f"{fmt(e['lam'])},{fmt(e['err'])}")

@@ -61,12 +61,12 @@ class CrossSection:
             raise ValueError("a connected cross section starts with mu = 0")
 
     @staticmethod
-    def round_sphere(dim_y: int, count: int, scale: float = 1.0) -> "CrossSection":
-        """Round sphere of radius `scale`: mu_l = l(l+dim_y-1)/scale^2."""
-        modes = tuple((ell * (ell + dim_y - 1) / scale ** 2,
+    def round_sphere(dim_y: int, count: int) -> "CrossSection":
+        """Unit round sphere: mu_l = l(l+dim_y-1)."""
+        modes = tuple((float(ell * (ell + dim_y - 1)),
                        sphere_multiplicity(dim_y, ell))
                       for ell in range(count))
-        return CrossSection(modes, volume=sphere_volume(dim_y) * scale ** dim_y)
+        return CrossSection(modes, volume=sphere_volume(dim_y))
 
     @staticmethod
     def explicit(modes, volume=None) -> "CrossSection":
@@ -94,7 +94,6 @@ class CapProfile:
     identity, so the capped family is the flat ball for every eps.
     """
 
-    # the matching radii; WarpFamily.cone_region_start reads rho_b
     rho_a = 0.5
     rho_b = 2.0
 
@@ -211,26 +210,6 @@ class WarpFamily:
             ratio = np.where(rho > 0, self.cap(rho) / np.where(rho > 0, rho, 1.0), 1.0)
         return ratio
 
-    def cone_region_start(self, eps: float) -> float:
-        """Radius beyond which the metric is exactly the cone (capped)."""
-        if self.profile == "neck":
-            return math.inf
-        return 0.0 if eps == 0.0 else eps * self.cap.rho_b
-
-    # -- metric -------------------------------------------------------------
-    def metric_eval(self, x: float, eps: float) -> Tuple[float, float]:
-        """(g_xx, angular factor f^2): the metric against dx^2 + f^2 h."""
-        lo, hi = self.domain
-        if not lo <= x <= hi:
-            raise ValueError(f"x = {x} outside the domain [{lo}, {hi}]")
-        return 1.0, float(self.f(x, eps) ** 2)
-
-    def metric_eval_fixed_space(self, rho: float) -> Tuple[float, float]:
-        """Metric of the fixed complete rescaled space (capped only)."""
-        if self.profile != "capped":
-            raise ValueError("the fixed-space description needs the capped profile")
-        return 1.0, float(self.cap(np.asarray(rho)) ** 2)
-
     # -- radial operators ----------------------------------------------------
     def radial_operator(self, mu: float, eps: float) -> "RadialOperator":
         """The mode-mu operator on the whole domain: the cone tip (eps = 0)
@@ -272,7 +251,7 @@ class WarpFamily:
 
 
 # ---------------------------------------------------------------------------
-# indicial data and the Friedrichs gate
+# indicial data
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -297,40 +276,6 @@ def indicial_roots(n: int, mu: float, c: float = 1.0) -> IndicialData:
     return IndicialData(n, mu, c, nu, -half + nu, -half - nu)
 
 
-def friedrichs_gate(n: int, gamma: float) -> bool:
-    """True iff x^gamma lies in the form-domain window gamma > (2-n)/2."""
-    return gamma > (2.0 - n) / 2.0
-
-
-# ---------------------------------------------------------------------------
-# weight function of the convergence argument
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WeightFunction:
-    """Piecewise weight: eps on the core region, |x| across U, 1 outside U.
-
-    The core is |x| <= eps (the image of the fixed compact piece of the
-    rescaled space), U is |x| <= outer_radius; continuity at both interfaces
-    is automatic since eps * (x/eps) = x.
-    """
-
-    eps: float
-    outer_radius: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.eps < self.outer_radius:
-            raise ValueError("need 0 < eps < outer_radius")
-
-    def __call__(self, x):
-        x = np.abs(np.asarray(x, dtype=float))
-        return np.clip(x, self.eps, self.outer_radius)
-
-    def weighted_sup(self, values, x, delta: float) -> float:
-        """The delta-weighted sup norm ||w^delta f||_inf on samples."""
-        return float(np.max(self(x) ** delta * np.abs(np.asarray(values))))
-
-
 # ---------------------------------------------------------------------------
 # the per-mode Sturm-Liouville reduction
 # ---------------------------------------------------------------------------
@@ -343,9 +288,7 @@ class RadialOperator:
     operator acts on `domain` = (lo, hi), a singular left endpoint is
     handled through u = x^gamma v (gamma = 0 where there is none), and
     `dirichlet` = (left, right) says which ends carry a Dirichlet condition;
-    the others are natural.  An optional bounded potential carries the
-    nonnegative endomorphism term of a geometric Laplacian (scalar rank
-    here).
+    the others are natural.
     """
 
     family: WarpFamily
@@ -354,7 +297,6 @@ class RadialOperator:
     domain: Tuple[float, float]
     gamma: float
     dirichlet: Tuple[bool, bool]
-    potential: Optional[object] = None  # callable V(x) >= 0, bounded
 
     def p(self, x):
         return self.family.f(x, self.eps) ** (self.family.n - 1)
@@ -363,10 +305,7 @@ class RadialOperator:
         return self.p(x)
 
     def q(self, x):
-        out = self.mu * self.family.f(x, self.eps) ** (self.family.n - 3)
-        if self.potential is not None:
-            out = out + self.potential(np.asarray(x)) * self.w(x)
-        return out
+        return self.mu * self.family.f(x, self.eps) ** (self.family.n - 3)
 
     def substituted_coefficients(self):
         """Coefficients of the regularized problem in v = u / x^gamma.
@@ -382,7 +321,6 @@ class RadialOperator:
             return self.p, self.q, self.w
         n = self.family.n
         fam, eps, mu = self.family, self.eps, self.mu
-        pot = self.potential
 
         def ptil(x):
             x = np.asarray(x, dtype=float)
@@ -393,10 +331,7 @@ class RadialOperator:
             fx = fam.f_over_x(x, eps)          # f/x
             fp = fam.fprime(x, eps)
             bracket = mu - g * (n - 1) * fx * fp - g * (g - 1) * fx ** 2
-            out = fam.f(x, eps) ** (n - 3) * x ** (2 * g) * bracket
-            if pot is not None:
-                out = out + pot(x) * ptil(x)
-            return out
+            return fam.f(x, eps) ** (n - 3) * x ** (2 * g) * bracket
 
         return ptil, qtil, ptil
 

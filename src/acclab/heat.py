@@ -69,25 +69,6 @@ def cone_mode_kernel(nu: float, n: int, x, xp, t):
             * np.exp(-(x - xp) ** 2 / (4.0 * t)) * ive(nu, z))
 
 
-def half_line_dirichlet_kernel(x, xp, t):
-    """Method-of-images kernel on the half line; nu = 1/2 reference."""
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(xp, dtype=float)
-    pref = (4.0 * math.pi * t) ** -0.5
-    return pref * (np.exp(-(x - xp) ** 2 / (4 * t))
-                   - np.exp(-(x + xp) ** 2 / (4 * t)))
-
-
-def b_cylinder_kernel(s, sp, t, mu: float = 0.0):
-    """Mode kernel of the exact cylinder in logarithmic coordinates."""
-    if np.any(np.asarray(t) <= 0):
-        raise ValueError("t must be positive")
-    s = np.asarray(s, dtype=float)
-    sp = np.asarray(sp, dtype=float)
-    return ((4.0 * math.pi * t) ** -0.5
-            * np.exp(-(s - sp) ** 2 / (4.0 * t)) * np.exp(-mu * t))
-
-
 # ---------------------------------------------------------------------------
 # eigenexpansion kernels
 # ---------------------------------------------------------------------------
@@ -342,7 +323,12 @@ def interior_probe(family: WarpFamily, schedule: Sequence[float],
 
 
 def _truncated_mode_solution(family: WarpFamily, mu: float, radius: float,
-                             h: float, lam_top: float) -> ModeSolution:
+                             h: float, rho: float, rhop: float,
+                             lam_top: float) -> ModeSolution:
+    for name, point in (("rho", rho), ("rhop", rhop)):
+        if point > radius:
+            raise SolverError(f"probe point {name} = {point} lies beyond the "
+                              f"truncation radius {radius}")
     op = family.radial_operator_fixed_space(mu, radius)
     n = int(round(radius / h))
     if abs(n * h - radius) > 1e-12:
@@ -370,6 +356,8 @@ def scaled_probe(family: WarpFamily, schedule: Sequence[float],
     probe distance is the domain-monotone wall effect, computed on matched
     uniform grids.  Every 1/eps must be a multiple of the grid step h.
     Each mode is solved up to the eigenvalue the TAIL_TOL guard needs at tau.
+    A row whose truncation radius is below rho or rho' is refused when it
+    is read.
     The reference kernel is taken at radius 2 ref_radius; it must agree with
     the one at ref_radius to max(1e-6, 0.2 h^2) relative, or the call fails.
     """
@@ -381,8 +369,8 @@ def scaled_probe(family: WarpFamily, schedule: Sequence[float],
     lam_top = _tail_lam_top(tau)
 
     radii = [2.0 * ref_radius, ref_radius] + [1.0 / eps for eps in schedule]
-    jobs = [(_truncated_mode_solution, (family, mu, radius, h), lam_top, rho,
-             rhop, [tau]) for radius in radii for mu in mus]
+    jobs = [(_truncated_mode_solution, (family, mu, radius, h, rho, rhop),
+             lam_top, rho, rhop, [tau]) for radius in radii for mu in mus]
 
     # cross-domain h^2 discretization errors do not cancel exactly and
     # floor the monitor near 0.1 h^2 of the value; genuine truncation
@@ -588,31 +576,3 @@ class PolyKernel:
 
     def __call__(self, t: float) -> float:
         return float(sum(float(c) * t ** a for a, c in enumerate(self.coeffs)))
-
-
-# ---------------------------------------------------------------------------
-# maximum principle check
-# ---------------------------------------------------------------------------
-
-def max_principle_check(e_samples: np.ndarray, k_samples: np.ndarray,
-                        t_grid: np.ndarray, c: float, big_n: int,
-                        horizon: float, eps: float) -> Tuple[bool, Optional[dict]]:
-    """Verify the parabolic-envelope conclusion |E|^2 <= e^T C eps^2 t^(2N).
-
-    Requires the source bound |K|^2 <= C eps^2 t^(2N) on the samples first;
-    returns (ok, witness) with the first violating sample otherwise.
-    """
-    t = np.asarray(t_grid, dtype=float)
-    envelope = c * eps ** 2 * t ** (2 * big_n)
-    if np.any(np.asarray(k_samples) ** 2 > envelope * (1 + 1e-12)):
-        i = int(np.argmax(np.asarray(k_samples) ** 2 - envelope))
-        raise ValueError(f"precondition |K|^2 <= C eps^2 t^(2N) fails at "
-                         f"t = {t.flat[i]}")
-    bound = math.exp(horizon) * envelope
-    sq = np.asarray(e_samples) ** 2
-    bad = sq > bound * (1 + 1e-12)
-    if np.any(bad):
-        idx = np.unravel_index(int(np.argmax(sq - bound)), sq.shape)
-        return False, {"index": idx, "t": float(t[idx[-1]]),
-                       "value_sq": float(sq[idx]), "bound": float(bound[idx[-1]])}
-    return True, None

@@ -306,14 +306,13 @@ def conic_reference_spectrum(family: WarpFamily, count_per_mode: int,
 
 
 def assemble_spectrum(family: WarpFamily, eps: float, grid: SLGrid,
-                      count: int, ell_max: int,
-                      strict: bool = True) -> EigenResult:
+                      count: int, ell_max: int) -> EigenResult:
     """Merged spectrum over modes ell <= ell_max with multiplicities.
 
     The smallest possible eigenvalue of the first omitted mode,
     mu_(ell_max+1)/max(f)^2, bounds the range on which the merged list is
-    the complete spectrum; the bound is recorded on the result, and with
-    strict=True the call fails when it does not cover the requested range.
+    the complete spectrum; the bound is recorded on the result as
+    `complete_below`.
     """
     if eps == 0.0 and family.profile == "neck":
         return conic_reference_spectrum(family, count, ell_max)
@@ -333,11 +332,6 @@ def assemble_spectrum(family: WarpFamily, eps: float, grid: SLGrid,
         xs = np.linspace(*family.domain, 512)
         fmax = float(np.max(family.f(xs, eps)))
         res.complete_below = family.cross_section.mu(ell_max + 1) / fmax ** 2
-        top = res.entries[-1]["lam"] if res.entries else 0.0
-        if strict and res.complete_below < top:
-            raise SolverError(
-                f"mode truncation ell <= {ell_max} insufficient: next mode can "
-                f"reach {res.complete_below:.3g} below the requested top {top:.3g}")
     return res
 
 
@@ -437,7 +431,7 @@ def spectral_flow(family: WarpFamily, schedule: Sequence[float], grid: SLGrid,
     meta: Dict[CurveKey, dict] = {}
     complete_below = math.inf
     for eps in schedule:
-        spec = assemble_spectrum(family, eps, grid, count, ell_max, strict=False)
+        spec = assemble_spectrum(family, eps, grid, count, ell_max)
         complete_below = min(complete_below, spec.complete_below)
         for e in spec.entries:
             key = (e["ell"], e.get("branch", ""), e["k"])

@@ -227,6 +227,12 @@ def test_config_rejects_bad_values(tmp_path, text, message):
      "\\[probes\\] x = 1.5: outside the radial domain \\[-1.0, 1.0\\]"),
     ("heat --regime interior", "[probes]\nx = 0\n",
      "\\[probes\\] x = 0: need a positive value"),
+    ("heat --regime interior", "[model]\nc = 0.8\n[probes]\nx = 1.0\n",
+     "\\[probes\\] x = 1.0: on the outer Dirichlet end 1.0 of the interior "
+     "probe, where both kernels vanish"),
+    ("heat --regime interior",
+     "[model]\nprofile = neck\n[probes]\nxprime = 1.0\n",
+     "\\[probes\\] xprime = 1.0: on the outer Dirichlet end 1.0"),
     ("heat --regime interior",
      "[model]\nprofile = neck\nc = 0.8\n[probes]\nx = -0.5\nxprime = -0.5\n",
      "\\[probes\\] x = -0.5: need a positive value"),
@@ -301,6 +307,10 @@ _REFUSALS = {
     "[probes]\nh = 0.3\n":
         "grid step h = 0.3 on the truncation radius 12.0: count > N/4",
     "[probes]\nrho = 5\n": "truncation-domain influence detected",
+    "[probes]\nrho = 3.0\n":
+        "probe point rho = 3.0 lies beyond the truncation radius 2.0",
+    "[probes]\nrhop = 10.0\n":
+        "probe point rhop = 10.0 lies beyond the truncation radius 6.0",
     "[probes]\nscaled_eps = 0.5,0.3\n":
         "grid step h = 0.0078125 does not divide the truncation radius "
         "3.3333333333333335",

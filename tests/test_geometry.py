@@ -1,4 +1,4 @@
-"""Model families: metric identities, indicial data, weights."""
+"""Model families: metric identities, indicial data, radial operators."""
 
 import pickle
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from acclab.geometry import (CapProfile, CrossSection, WarpFamily,
-                             WeightFunction, friedrichs_gate, indicial_roots,
-                             sphere_multiplicity)
+                             indicial_roots, sphere_multiplicity)
 
 
 def test_round_sphere_modes():
@@ -16,9 +15,6 @@ def test_round_sphere_modes():
     assert [k for _, k in cs.modes] == [1, 3, 5, 7, 9]
     cs4 = CrossSection.round_sphere(3, 3)  # S^3
     assert [k for _, k in cs4.modes] == [1, 4, 9]
-    # scale c: mu_l = l(l+dimY-1)/c^2
-    cs_scaled = CrossSection.round_sphere(2, 3, scale=2.0)
-    assert cs_scaled.mu(1) == pytest.approx(0.5)
 
 
 def test_cross_section_validation():
@@ -40,18 +36,15 @@ def test_cap_profile_c2_and_flat_case():
 
 def test_metric_eval_neck_arithmetic():
     fam = WarpFamily.neck(n=3, c=1.0)
-    gxx, ang = fam.metric_eval(0.5, 0.1)
-    assert gxx == 1.0
-    assert ang == pytest.approx(0.01 + 0.25)
+    assert fam.f(0.5, 0.1) ** 2 == pytest.approx(0.01 + 0.25)
 
 
 def test_metric_eval_capped_cone_region_exact():
     fam = WarpFamily.capped(n=3, c=0.8)
     eps = 0.1
     x = 0.5  # beyond eps * rho_b = 0.2
-    assert x >= fam.cone_region_start(eps)
-    _, ang = fam.metric_eval(x, eps)
-    assert ang == pytest.approx((0.8 * x) ** 2, rel=1e-14)
+    assert x >= eps * fam.cap.rho_b
+    assert fam.f(x, eps) ** 2 == pytest.approx((0.8 * x) ** 2, rel=1e-14)
 
 
 @pytest.mark.parametrize("make", [WarpFamily.capped, WarpFamily.neck])
@@ -62,20 +55,15 @@ def test_family_refuses_non_finite_slope(make, c):
         make(n=3, c=c)
 
 
-def test_metric_eval_outside_domain():
-    fam = WarpFamily.capped(n=3, c=1.0)
-    with pytest.raises(ValueError, match="outside"):
-        fam.metric_eval(1.5, 0.1)
-
-
 def test_rescaling_identity_exact_for_capped():
-    # g_eps at x equals eps^2 times the fixed-space metric at rho = x/eps
+    # g_eps at x equals eps^2 times the fixed-space metric at rho = x/eps;
+    # the fixed space is the family at eps = 1, which
+    # radial_operator_fixed_space solves on
     fam = WarpFamily.capped(n=3, c=0.8)
     for eps in (0.2, 0.05):
         for x in (0.01, 0.1, 0.37, 0.9):
-            _, ang = fam.metric_eval(x, eps)
-            _, ang_z = fam.metric_eval_fixed_space(x / eps)
-            assert ang == pytest.approx(eps ** 2 * ang_z, rel=1e-14)
+            assert fam.f(x, eps) ** 2 == pytest.approx(
+                eps ** 2 * fam.f(x / eps, 1.0) ** 2, rel=1e-14)
 
 
 def test_neck_profile_uniform_convergence_rate():
@@ -109,26 +97,11 @@ def test_indicial_roots_vieta():
 
 
 def test_friedrichs_gate():
-    assert friedrichs_gate(3, 0.0) is True        # 0 > -1/2
-    assert friedrichs_gate(3, -1.0) is False
-    assert friedrichs_gate(3, -0.5) is False      # strict inequality
-    # gamma_plus passes the gate for every mode and dimension
+    # x^gamma_plus lies in the form-domain window gamma > (2-n)/2 for every
+    # mode and dimension
     for n in (3, 4, 5, 8):
         for mu in (0.0, 1.0, 10.0, 100.0):
-            assert friedrichs_gate(n, indicial_roots(n, mu).gamma_plus)
-
-
-def test_weight_function_piecewise_and_continuity():
-    for eps in (0.2, 0.05, 0.01):
-        w = WeightFunction(eps)
-        assert w(1.0) == 1.0
-        assert w(0.5 * eps) == eps           # core value
-        x = 0.3
-        assert w(x) == x                     # transition region equals x
-        # continuity at both interfaces
-        for x0 in (eps, 1.0):
-            lo, hi = w(x0 * (1 - 1e-9)), w(x0 * (1 + 1e-9))
-            assert abs(hi - lo) < 1e-8
+            assert indicial_roots(n, mu).gamma_plus > (2 - n) / 2
 
 
 def test_radial_operator_coefficients():
@@ -194,29 +167,3 @@ def test_sphere_multiplicity_low_dims():
     assert [sphere_multiplicity(1, l) for l in range(3)] == [1, 2, 2]
     assert [sphere_multiplicity(2, l) for l in range(4)] == [1, 3, 5, 7]
     assert [sphere_multiplicity(3, l) for l in range(3)] == [1, 4, 9]
-
-
-def test_optional_potential_term_shifts_spectrum():
-    # a constant potential V shifts every eigenvalue by exactly V
-    from acclab.geometry import RadialOperator
-    from acclab.spectral import SLGrid, solve_mode
-    import numpy as np
-
-    fam = WarpFamily.capped(n=3, c=1.0)
-    base = fam.radial_operator(2.0, 0.1)
-    shifted = RadialOperator(fam, 2.0, 0.1, base.domain, base.gamma,
-                             base.dirichlet,
-                             potential=lambda x: 3.0 * np.ones_like(x))
-    s0 = solve_mode(base, SLGrid(512), 3)
-    s1 = solve_mode(shifted, SLGrid(512), 3)
-    assert np.allclose(s1.lam - s0.lam, 3.0, atol=1e-9)
-
-
-def test_weight_function_weighted_sup():
-    import numpy as np
-    w = WeightFunction(0.1)
-    xs = np.linspace(0.0, 1.0, 101)
-    vals = 1.0 / np.maximum(xs, 1e-6)
-    # f ~ x^-1 against delta = 1: w^1 * f = 1 on the transition region
-    assert w.weighted_sup(vals, xs, 1.0) >= 1.0
-    assert w.weighted_sup(np.ones_like(xs), xs, 2.0) == 1.0

@@ -1,4 +1,4 @@
-"""Model kernels, degeneration probes, Volterra series, envelope checks."""
+"""Model kernels, degeneration probes, Volterra series."""
 
 import concurrent.futures
 import dataclasses
@@ -16,11 +16,10 @@ from scipy.special import jv
 
 from acclab.geometry import WarpFamily, indicial_roots, sphere_volume
 from acclab.heat import (TAIL_TOL, ExactConeMode, GridKernel, PolyKernel,
-                         _probe_result, _tail_lam_top, b_cylinder_kernel,
+                         _probe_result, _tail_lam_top,
                          coincident_angular_weight, cone_mode_kernel,
                          crank_nicolson_mode, euclidean_kernel, g0_fiber_check,
-                         half_line_dirichlet_kernel, heat_from_spectrum,
-                         interior_probe, max_principle_check, scaled_probe,
+                         heat_from_spectrum, interior_probe, scaled_probe,
                          scaling_identity_defect, t_convolve, volterra_neumann)
 from acclab.spectral import SLGrid, SolverError, solve_mode
 
@@ -61,10 +60,13 @@ def test_euclidean_heat_equation_fd_residual_second_order():
 
 def test_cone_mode_kernel_half_integer_closed_form():
     # nu = 1/2 at n = 3 is the image kernel on the half line over (x x')
+    x, xp = 0.3, 0.45
     for t in (0.01, 0.08, 0.3):
-        a = cone_mode_kernel(0.5, 3, 0.3, 0.45, t)
-        b = half_line_dirichlet_kernel(0.3, 0.45, t) / (0.3 * 0.45)
-        assert a == pytest.approx(b, rel=1e-12)
+        a = cone_mode_kernel(0.5, 3, x, xp, t)
+        images = (4.0 * math.pi * t) ** -0.5 * (
+            math.exp(-(x - xp) ** 2 / (4 * t))
+            - math.exp(-(x + xp) ** 2 / (4 * t)))
+        assert a == pytest.approx(images / (x * xp), rel=1e-12)
 
 
 def test_cone_mode_kernel_vs_eigensum_oracle_pre_boundary(cone_mode_solves):
@@ -110,26 +112,6 @@ def test_cone_mode_kernel_symmetry_and_positivity():
         b = cone_mode_kernel(nu, 3, xp, x, t)
         assert a == pytest.approx(b, rel=1e-12)
         assert a > 0
-
-
-def test_b_cylinder_kernel_properties():
-    s = np.linspace(-10, 10, 8001)
-    vals = b_cylinder_kernel(s, 0.0, 0.3, mu=0.0)
-    assert np.trapezoid(vals, s) == pytest.approx(1.0, abs=1e-10)
-    assert b_cylinder_kernel(0.7, -0.2, 0.3, mu=2.0) \
-        == pytest.approx(b_cylinder_kernel(-0.2, 0.7, 0.3, mu=2.0))
-
-    # FD residual of (d_t - d_s^2 + mu) k = 0 in log coordinates, O(h^2)
-    def residual(h, mu=2.0, s0=0.35, t0=0.25):
-        dt = (b_cylinder_kernel(s0, 0.0, t0 + h, mu)
-              - b_cylinder_kernel(s0, 0.0, t0 - h, mu)) / (2 * h)
-        dss = (b_cylinder_kernel(s0 + h, 0.0, t0, mu)
-               - 2 * b_cylinder_kernel(s0, 0.0, t0, mu)
-               + b_cylinder_kernel(s0 - h, 0.0, t0, mu)) / h ** 2
-        return abs(dt - dss + mu * b_cylinder_kernel(s0, 0.0, t0, mu))
-
-    r1, r2 = residual(2e-3), residual(1e-3)
-    assert r1 < 1e-4 and r1 / r2 == pytest.approx(4.0, rel=0.25)
 
 
 # -- eigenexpansion kernels ------------------------------------------------------
@@ -567,38 +549,3 @@ def test_volterra_growth_detected():
     with pytest.raises(SolverError, match="growth"):
         volterra_neumann(k, 6)
 
-
-# -- maximum principle -------------------------------------------------------------
-
-def test_max_principle_envelope():
-    tg = np.linspace(0.0, 1.0, 50)
-    eps, c, n_pow, horizon = 0.1, 1.0, 2, 1.0
-    k = 0.5 * math.sqrt(c) * eps * tg ** n_pow
-    e = 0.9 * math.sqrt(math.exp(horizon) * c) * eps * tg ** n_pow
-    ok, wit = max_principle_check(e, k, tg, c, n_pow, horizon, eps)
-    assert ok and wit is None
-    ok0, _ = max_principle_check(np.zeros_like(tg), k, tg, c, n_pow,
-                                 horizon, eps)
-    assert ok0
-    e_bad = 2.0 * math.sqrt(math.exp(horizon) * c) * eps * tg ** n_pow
-    ok2, wit2 = max_principle_check(e_bad, k, tg, c, n_pow, horizon, eps)
-    assert not ok2 and wit2 is not None and "t" in wit2
-    with pytest.raises(ValueError, match="precondition"):
-        max_principle_check(e, 10.0 * np.ones_like(tg), tg, c, n_pow,
-                            horizon, eps)
-
-
-def test_max_principle_on_probe_error():
-    # E = H_eps - H_0 from the interior probe obeys the fitted envelope
-    fam = WarpFamily.capped(n=3, c=0.8, mode_count=10)
-    res = interior_probe(fam, [0.2, 0.1], times=(0.1, 0.3, 0.6, 1.0),
-                         ell_max=6, grid=SLGrid(512))
-    tg = np.array(res.times)
-    for i, eps in enumerate(res.schedule):
-        e = np.abs(res.eps_values[i] - res.model_values)
-        big_n = 0
-        c_fit = 1.05 * float(np.max(e ** 2 / (eps ** 2 * tg ** (2 * big_n)))) \
-            / math.exp(1.0)
-        k = np.sqrt(c_fit) * eps * tg ** big_n * 0.9
-        ok, _ = max_principle_check(e, k, tg, c_fit, big_n, 1.0, eps)
-        assert ok
