@@ -329,7 +329,7 @@ def cmd_compose(args) -> int:
 
 @_numerical
 def cmd_spectrum(args) -> int:
-    from .spectral import assemble_spectrum, conic_reference_spectrum
+    from .spectral import assemble_spectra, conic_reference_spectrum
     cp = read_config(args.config, "solver")
     fam = family_from_config(cp)
     grid = grid_from_config(cp)
@@ -341,11 +341,10 @@ def cmd_spectrum(args) -> int:
     ref = conic_reference_spectrum(fam, count, ell_max)
     for e in ref.entries:
         lines.append(f"0,{fmt(e['mu'])},{e['mult']},{e['k']},{fmt(e['lam'])},0")
-    for eps in eps_list:
-        spec = assemble_spectrum(fam, eps, grid, count, ell_max)
+    for spec in assemble_spectra(fam, eps_list, grid, count, ell_max):
         for e in spec.entries:
-            lines.append(f"{fmt(eps)},{fmt(e['mu'])},{e['mult']},{e['k']},"
-                         f"{fmt(e['lam'])},{fmt(e['err'])}")
+            lines.append(f"{fmt(spec.eps)},{fmt(e['mu'])},{e['mult']},"
+                         f"{e['k']},{fmt(e['lam'])},{fmt(e['err'])}")
     path = out / "spectrum.csv"
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote {path}")

@@ -19,8 +19,6 @@ truncated domains so that the domain-monotone wall effect is resolved).
 from __future__ import annotations
 
 import math
-import os
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +30,7 @@ from scipy.special import ive, jv
 
 from .geometry import WarpFamily, indicial_roots
 from .spectral import (ModeSolution, SLGrid, SolverError, _discretize,
-                       bessel_j_zeros, solve_mode)
+                       _run_jobs, bessel_j_zeros, solve_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -242,39 +240,17 @@ def _mode_kernel(job: tuple) -> List[float]:
 def _mode_sums(weights: Sequence[float],
                jobs: list) -> Iterator[Callable[[], List[float]]]:
     """Runs the `_mode_kernel` jobs, one per (row, mode) in row-major order,
-    and yields `next_sum()`: the weighted mode sum `_weighted_sum` over the
-    next len(weights) jobs, one value per time.
+    through `spectral._run_jobs`, and yields `next_sum()`: the weighted mode
+    sum `_weighted_sum` over the next len(weights) jobs, one value per time.
 
-    The jobs run on one worker process per usable CPU (in this process when
-    there is one CPU).  Their results are read lazily, so a caller that
-    checks early sums before it reads later ones raises the error it would
-    raise serially.  On leaving the block, jobs not yet started are
-    cancelled and every worker is joined.  Workers are forked: a spawned
-    worker would import numpy and scipy again, which costs more than most
-    probe solves.  A fork copies no thread but every lock, so a caller that
-    runs other Python threads gets the serial path.
+    Results are read lazily, so a caller that checks early sums before it
+    reads later ones raises the error it would raise serially.
     """
-    # without an affinity mask (macOS, Windows) there is no fork to rely on
-    cpus = (len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else 1)
-    pool = None
-    if cpus > 1 and len(jobs) > 1 and threading.active_count() == 1:
-        # imported here: only the probes start processes, and every process
-        # that loads this module would otherwise carry these modules too
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(
-            min(cpus, len(jobs)), mp_context=multiprocessing.get_context("fork"))
-    try:
-        values = (map if pool is None else pool.map)(_mode_kernel, jobs)
-
+    with _run_jobs(_mode_kernel, jobs) as values:
         def next_sum() -> List[float]:
             return _weighted_sum(weights, [next(values) for _ in weights])
 
         yield next_sum
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _family_mode_solution(family: WarpFamily, mu: float, eps: float,

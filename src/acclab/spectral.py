@@ -11,10 +11,13 @@ with nu = sqrt(((n-2)/2)^2 + mu/c^2).
 from __future__ import annotations
 
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 from scipy import linalg
@@ -30,6 +33,125 @@ class SolverError(RuntimeError):
 
 # pairs solved beyond the coarse-grid count at or below lam_top
 _LAM_TOP_MARGIN = 2
+
+
+# ---------------------------------------------------------------------------
+# processes
+# ---------------------------------------------------------------------------
+
+# count x N from which `solve_mode` runs its coarse pass in a forked child
+# beside the fine one.  Measured on a 2-CPU host, next to a 150 MB array
+# that the fork has to map: 2048 x 4 = 8192 lost (16.0 ms against 13.6 ms
+# serially), 2048 x 8 = 16384 won (20.3 against 22.4 ms), and from about
+# 32768 on the overlap saves 17-23%.
+_OVERLAP_WORK = 16384
+
+# true in every process that `_run_jobs` or `_beside` forks, and set once
+# there: those already hold their share of the CPUs, so they fork no further
+_in_child = False
+
+
+def _enter_child() -> None:
+    global _in_child
+    _in_child = True
+
+
+def _usable_cpus() -> int:
+    # without an affinity mask (macOS, Windows) there is no fork to rely on
+    return (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+
+
+def _may_fork() -> bool:
+    """A fork helps with a second usable CPU, and is safe only from a
+    process that runs no other Python thread: it copies every lock but no
+    thread.  Forked workers and children never fork again."""
+    return (not _in_child and _usable_cpus() > 1
+            and threading.active_count() == 1)
+
+
+@contextmanager
+def _run_jobs(fn: Callable, jobs: list) -> Iterator[Iterator]:
+    """Yields an iterator over fn(job) for each job, in job order: the one
+    job runner of the mode solves.
+
+    The jobs run on one worker process per usable CPU, or in this process
+    when `_may_fork` says no or there is one job.  Results are read
+    lazily, so a caller that checks early results before it reads later
+    ones raises the error it would raise serially; a job's error carries
+    the serial path's message.  On leaving the block, jobs not yet started
+    are cancelled and every worker is joined.  Workers are forked: a
+    spawned worker would import numpy and scipy again, which costs more
+    than most mode solves.  `fn` and everything in a job is pickled, so
+    `fn` must be a module-level name.
+    """
+    pool = None
+    if len(jobs) > 1 and _may_fork():
+        # imported here: only the mode solves start processes, and every
+        # process that loads this module would otherwise carry these too
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(
+            min(_usable_cpus(), len(jobs)),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_enter_child)
+    try:
+        yield (map if pool is None else pool.map)(fn, jobs)
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _send_result(conn, fn: Callable, args: tuple) -> None:
+    """The body of a `_beside` child: fn(*args), or its error, down `conn`."""
+    _enter_child()
+    try:
+        reply = (True, fn(*args))
+    except Exception as exc:
+        reply = (False, exc)
+    conn.send(reply)
+    conn.close()
+
+
+@contextmanager
+def _beside(fork: bool, fn: Callable, *args) -> Iterator[Callable]:
+    """Yields `result()`, which returns fn(*args).
+
+    With `fork` and `_may_fork`, fn runs in a child forked on entry, with
+    its arguments already in memory, while the caller works in the block.
+    A pool job would wait for the caller instead: scipy's LAPACK wrappers
+    hold the GIL, so the pool's feeder thread would hand the job over only
+    after the caller's own solve.  The result comes back through a one-way
+    pipe and is received before the child is joined; a child that has not
+    sent when the block ends (the caller raised) is terminated and joined.
+    Otherwise result() calls fn in this process.
+    """
+    if not (fork and _may_fork()):
+        yield lambda: fn(*args)
+        return
+    import multiprocessing
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_result, args=(sender, fn, args))
+    child.start()
+    sender.close()
+    received = False
+
+    def result():
+        nonlocal received
+        ok, value = receiver.recv()
+        received = True
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        receiver.close()
+        if not received:
+            child.terminate()
+        child.join()
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +230,8 @@ class ModeSolution:
     xs: np.ndarray
     lam: np.ndarray
     lam_err: np.ndarray
-    u: np.ndarray          # nodes x count, weighted-orthonormal
+    # nodes x count, weighted-orthonormal; nodes x 0 with vectors=False
+    u: np.ndarray
     lam_raw: np.ndarray
     mass: np.ndarray = None  # node quadrature weights of the w-inner product
 
@@ -187,8 +310,15 @@ def _count_below(disc: _Discretization, lam_top: float) -> int:
                                        tol=math.inf))
 
 
+def _eigenvalues(disc: _Discretization, count: int) -> np.ndarray:
+    """The lowest `count` eigenvalues of a discretization, no vectors."""
+    return eigh_tridiagonal(disc.bd, disc.bo, eigvals_only=True, select="i",
+                            select_range=(0, count - 1))
+
+
 def solve_mode(op: RadialOperator, grid: SLGrid, count: Optional[int] = None,
-               *, lam_top: Optional[float] = None) -> ModeSolution:
+               *, lam_top: Optional[float] = None,
+               vectors: bool = True) -> ModeSolution:
     """First `count` eigenpairs of a radial operator, or every eigenpair up
     to `lam_top` (give exactly one of the two).
 
@@ -197,6 +327,12 @@ def solve_mode(op: RadialOperator, grid: SLGrid, count: Optional[int] = None,
     and are w-orthonormal.  With `lam_top` the pair count is the number of
     coarse-grid eigenvalues at or below it plus a margin of two, and the
     call fails unless the last extrapolated eigenvalue reaches `lam_top`.
+    With `vectors=False` no eigenvector is computed and `u` has no columns;
+    the eigenvalues are the same to the bit.
+
+    From count x N = `_OVERLAP_WORK` on, the coarse-grid eigenvalues are
+    computed in a forked child while this process solves the fine grid
+    (see `_beside`); the results are the serial ones to the bit.
     """
     if (count is None) == (lam_top is None):
         raise ValueError("give exactly one of count and lam_top")
@@ -207,23 +343,28 @@ def solve_mode(op: RadialOperator, grid: SLGrid, count: Optional[int] = None,
         raise SolverError("count > N/4: refine the grid")
 
     fine = _discretize(op, grid.refined())
-    lam2, vec = eigh_tridiagonal(fine.bd, fine.bo, select="i",
-                                 select_range=(0, count - 1))
     xs2 = fine.xs
-    # scaled in place: no eigenvector-sized temporary
-    vec *= (1.0 / np.sqrt(fine.mass))[:, None]
-    u2 = np.zeros((len(xs2), count))
-    u2[fine.idx, :] = vec
-    g_ = op.gamma
-    if g_ != 0.0:
-        u2 *= xs2[:, None] ** g_
+    with _beside(count * grid.n >= _OVERLAP_WORK, _eigenvalues, coarse,
+                 count) as coarse_lam:
+        if vectors:
+            lam2, vec = eigh_tridiagonal(fine.bd, fine.bo, select="i",
+                                         select_range=(0, count - 1))
+            # scaled in place: no eigenvector-sized temporary
+            vec *= (1.0 / np.sqrt(fine.mass))[:, None]
+            u2 = np.zeros((len(xs2), count))
+            u2[fine.idx, :] = vec
+            g_ = op.gamma
+            if g_ != 0.0:
+                u2 *= xs2[:, None] ** g_
+        else:
+            lam2 = _eigenvalues(fine, count)
+            u2 = np.zeros((len(xs2), 0))
+        lam1 = coarse_lam()
     # quadrature weights of the ORIGINAL w-inner product on all nodes:
     # mass entries are for the substituted weight w~ = w x^(2 gamma),
     # so int f g w dx ~= sum (f/x^g)(g/x^g) mass
     mass2 = np.zeros(len(xs2))
     mass2[fine.idx] = fine.mass
-    lam1 = eigh_tridiagonal(coarse.bd, coarse.bo, eigvals_only=True,
-                            select="i", select_range=(0, count - 1))
     err = np.abs(lam2 - lam1) / 3.0
     lam = lam2 + (lam2 - lam1) / 3.0
     if lam_top is not None and lam[-1] < lam_top:
@@ -305,34 +446,55 @@ def conic_reference_spectrum(family: WarpFamily, count_per_mode: int,
     return res.sorted()
 
 
-def assemble_spectrum(family: WarpFamily, eps: float, grid: SLGrid,
-                      count: int, ell_max: int) -> EigenResult:
-    """Merged spectrum over modes ell <= ell_max with multiplicities.
+def _mode_eigenvalues(job: tuple) -> Tuple[np.ndarray, np.ndarray]:
+    """One spectrum job: the eigenvalues and Richardson estimates of the
+    first `count` pairs of one radial operator."""
+    op, grid, count = job
+    sol = solve_mode(op, grid, count, vectors=False)
+    return sol.lam, sol.lam_err
 
-    The smallest possible eigenvalue of the first omitted mode,
-    mu_(ell_max+1)/max(f)^2, bounds the range on which the merged list is
-    the complete spectrum; the bound is recorded on the result as
+
+def assemble_spectra(family: WarpFamily, schedule: Sequence[float],
+                     grid: SLGrid, count: int,
+                     ell_max: int) -> List[EigenResult]:
+    """Merged spectrum over modes ell <= ell_max with multiplicities, one
+    per eps of `schedule`.
+
+    Every (eps, ell, branch) mode solve of the schedule goes through one
+    `_run_jobs` call, eigenvalues only.  The neck at eps = 0 is the doubled
+    conic reference.  The smallest possible eigenvalue of the first omitted
+    mode, mu_(ell_max+1)/max(f)^2, bounds the range on which the merged
+    list is the complete spectrum; the bound is recorded on the result as
     `complete_below`.
     """
-    if eps == 0.0 and family.profile == "neck":
-        return conic_reference_spectrum(family, count, ell_max)
-    res = EigenResult(eps)
-    for ell in range(ell_max + 1):
-        mu = family.cross_section.mu(ell)
-        mult = family.cross_section.multiplicity(ell)
-        for branch, op in family.radial_operators_split(mu, eps):
-            sol = solve_mode(op, grid, count)
-            for k in range(count):
-                res.entries.append({"lam": float(sol.lam[k]), "mu": mu,
-                                    "mult": mult, "ell": ell, "k": k + 1,
-                                    "branch": branch,
-                                    "err": float(sol.lam_err[k])})
-    res = res.sorted()
-    if ell_max + 1 < len(family.cross_section):
-        xs = np.linspace(*family.domain, 512)
-        fmax = float(np.max(family.f(xs, eps)))
-        res.complete_below = family.cross_section.mu(ell_max + 1) / fmax ** 2
-    return res
+    cs = family.cross_section
+    modes = [[] if eps == 0.0 and family.profile == "neck" else
+             [(ell, branch, op) for ell in range(ell_max + 1)
+              for branch, op in family.radial_operators_split(cs.mu(ell), eps)]
+             for eps in schedule]
+    jobs = [(op, grid, count) for row in modes for _, _, op in row]
+    out = []
+    with _run_jobs(_mode_eigenvalues, jobs) as solved:
+        for eps, row in zip(schedule, modes):
+            if not row:
+                out.append(conic_reference_spectrum(family, count, ell_max))
+                continue
+            res = EigenResult(eps)
+            for ell, branch, _ in row:
+                lam, err = next(solved)
+                for k in range(count):
+                    res.entries.append({"lam": float(lam[k]), "mu": cs.mu(ell),
+                                        "mult": cs.multiplicity(ell),
+                                        "ell": ell, "k": k + 1,
+                                        "branch": branch,
+                                        "err": float(err[k])})
+            res = res.sorted()
+            if ell_max + 1 < len(cs):
+                xs = np.linspace(*family.domain, 512)
+                fmax = float(np.max(family.f(xs, eps)))
+                res.complete_below = cs.mu(ell_max + 1) / fmax ** 2
+            out.append(res)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +592,7 @@ def spectral_flow(family: WarpFamily, schedule: Sequence[float], grid: SLGrid,
     errs: Dict[CurveKey, float] = {}
     meta: Dict[CurveKey, dict] = {}
     complete_below = math.inf
-    for eps in schedule:
-        spec = assemble_spectrum(family, eps, grid, count, ell_max)
+    for spec in assemble_spectra(family, schedule, grid, count, ell_max):
         complete_below = min(complete_below, spec.complete_below)
         for e in spec.entries:
             key = (e["ell"], e.get("branch", ""), e["k"])

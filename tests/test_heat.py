@@ -1,11 +1,8 @@
 """Model kernels, degeneration probes, Volterra series."""
 
-import concurrent.futures
 import dataclasses
 import math
 import multiprocessing
-import os
-import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -309,32 +306,13 @@ def _probe_run(probe):
                         ref_radius=5.0)
 
 
-def _cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(count)))
-
-
-def _count_pools(monkeypatch):
-    """The worker counts of the process pools the probes go on to start."""
-    started = []
-    pool = concurrent.futures.ProcessPoolExecutor
-
-    def counted(workers, **kwargs):
-        started.append(workers)
-        return pool(workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
-    return started
-
-
 @pytest.mark.parametrize("probe", ["interior", "scaled"])
-def test_pooled_probes_match_the_serial_path(monkeypatch, probe):
-    pools = _count_pools(monkeypatch)
-    _cpus(monkeypatch, 2)
+def test_pooled_probes_match_the_serial_path(cpus, pools, probe):
+    cpus(2)
     pooled = _probe_run(probe)
     assert pools == [2]
     assert multiprocessing.active_children() == []
-    _cpus(monkeypatch, 1)
+    cpus(1)
     serial = _probe_run(probe)
     assert pools == [2]
     for name in ("eps_values", "model_values", "distances"):
@@ -348,13 +326,12 @@ def test_pooled_probes_match_the_serial_path(monkeypatch, probe):
     # grid multiple, is read
     ([1 / 2, 0.3], 1 / 64, 2.0, "truncation-domain influence"),
 ])
-def test_pooled_probe_refusals_match_the_serial_path(monkeypatch, schedule, h,
+def test_pooled_probe_refusals_match_the_serial_path(cpus, pools, schedule, h,
                                                      ref_radius, message):
     fam = WarpFamily.capped(n=3, c=0.8, mode_count=10)
-    pools = _count_pools(monkeypatch)
     errors = []
     for count in (2, 1):
-        _cpus(monkeypatch, count)
+        cpus(count)
         with pytest.raises(SolverError, match=message) as info:
             scaled_probe(fam, schedule, ell_max=2, h=h, ref_radius=ref_radius)
         assert multiprocessing.active_children() == []
@@ -363,23 +340,10 @@ def test_pooled_probe_refusals_match_the_serial_path(monkeypatch, schedule, h,
     assert errors[0] == errors[1]
 
 
-def test_probes_fork_no_workers_beside_other_threads(monkeypatch):
-    _cpus(monkeypatch, 2)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("forked beside another thread")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
-    try:
-        res = _probe_run("scaled")
-    finally:
-        release.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-    assert res.strictly_decreasing
+def test_probes_fork_no_workers_beside_other_threads(cpus, no_fork,
+                                                     another_thread):
+    cpus(2)
+    assert _probe_run("scaled").strictly_decreasing
 
 
 @lru_cache(maxsize=None)

@@ -147,7 +147,7 @@ def test_interior_faces_of_center_projection():
 
 def test_assemble_positive_for_dirichlet():
     from acclab.geometry import WarpFamily
-    from acclab.spectral import SLGrid, assemble_spectrum
+    from acclab.spectral import SLGrid, assemble_spectra
     fam = WarpFamily.capped(n=3, c=1.0)
-    spec = assemble_spectrum(fam, 0.1, SLGrid(256), 3, ell_max=2)
+    spec, = assemble_spectra(fam, [0.1], SLGrid(256), 3, ell_max=2)
     assert all(e["lam"] > 0 for e in spec.entries)

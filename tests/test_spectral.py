@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import multiprocessing
+import os
+import time
 
 import mpmath
 import numpy as np
@@ -14,7 +17,7 @@ from scipy.special import jv
 from acclab import spectral
 from acclab.geometry import WarpFamily, indicial_roots
 from acclab.spectral import (ModeSolution, SLGrid, SolverError,
-                             assemble_spectrum, bessel_j_zeros,
+                             assemble_spectra, bessel_j_zeros,
                              conic_reference_spectrum, mode_rayleigh_bound,
                              solve_mode, spectral_flow)
 from acclab.heat import ExactConeMode
@@ -346,7 +349,7 @@ def test_conic_reference_closed_forms_and_neck_doubling():
 
 def test_assemble_spectrum_sorted_union_with_multiplicities():
     fam = WarpFamily.capped(n=3, c=1.0)
-    spec = assemble_spectrum(fam, 0.1, SLGrid(256), 3, ell_max=2)
+    spec, = assemble_spectra(fam, [0.1], SLGrid(256), 3, ell_max=2)
     lams = [e["lam"] for e in spec.entries]
     assert lams == sorted(lams)
     ell1 = [e for e in spec.entries if e["ell"] == 1]
@@ -361,7 +364,7 @@ def test_assemble_spectrum_sorted_union_with_multiplicities():
 def test_assemble_spectrum_truncation_guard():
     # the mode truncation is recorded on the result, not enforced
     fam = WarpFamily.capped(n=3, c=1.0, mode_count=8)
-    spec = assemble_spectrum(fam, 0.1, SLGrid(256), 8, ell_max=1)
+    spec, = assemble_spectra(fam, [0.1], SLGrid(256), 8, ell_max=1)
     assert spec.complete_below < spec.entries[-1]["lam"]
 
 
@@ -376,7 +379,7 @@ def test_capped_c1_spectrum_constant_in_eps():
 
 def test_first_eigenvalue_capped_close_to_pi_squared():
     fam = WarpFamily.capped(n=3, c=1.0)
-    spec = assemble_spectrum(fam, 0.05, SLGrid(512), 4, ell_max=3)
+    spec, = assemble_spectra(fam, [0.05], SLGrid(512), 4, ell_max=3)
     assert spec.entries[0]["lam"] == pytest.approx(math.pi ** 2, rel=0.05)
 
 
@@ -528,6 +531,149 @@ def test_flow_upper_bound_direction_capped():
         nu = indicial_roots(3, float(ell * (ell + 1)), 0.8).nu
         bar = bessel_j_zeros(nu, k)[k - 1] ** 2
         assert vals[-1] <= bar * (1 + 2e-2) + 2e-2
+
+
+# -- pooled and overlapped solves ---------------------------------------------
+
+def _schedule_run(kind, grid=SLGrid(256), count=3):
+    """Everything a `spectrum` or `flow` run computes that must not depend
+    on the number of CPUs (flow rates hold nan, which equals nothing)."""
+    fam = WarpFamily.neck(n=3, c=1.0)
+    if kind == "spectrum":
+        return [(s.eps, s.entries, s.complete_below)
+                for s in assemble_spectra(fam, SCHEDULE, grid, count, 2)]
+    flow = spectral_flow(fam, SCHEDULE, grid, count=count, ell_max=2)
+    return flow.curves, flow.clusters, flow.verdict
+
+
+@pytest.mark.parametrize("kind", ["spectrum", "flow"])
+def test_pooled_schedule_matches_the_serial_path(cpus, pools, kind):
+    cpus(2)
+    pooled = _schedule_run(kind)
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+    cpus(1)
+    assert _schedule_run(kind) == pooled
+    assert pools == [2]
+
+
+@pytest.mark.parametrize("kind", ["spectrum", "flow"])
+def test_pooled_schedule_refusal_matches_the_serial_path(cpus, pools, kind):
+    errors = []
+    for count in (2, 1):
+        cpus(count)
+        with pytest.raises(SolverError, match="count > N/4") as info:
+            _schedule_run(kind, SLGrid(64), 17)
+        assert multiprocessing.active_children() == []
+        errors.append(str(info.value))
+    assert pools == [2]
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("kind", ["spectrum", "flow"])
+def test_schedule_forks_nothing_beside_other_threads(cpus, no_fork,
+                                                     another_thread, kind):
+    cpus(2)
+    _schedule_run(kind)
+
+
+def test_assemble_spectra_equals_one_call_per_eps():
+    # the neck at eps = 0 is the conic reference, between solved rows
+    fam = WarpFamily.neck(n=3, c=1.0)
+    schedule = [0.1, 0.0, 0.05]
+    spectra = assemble_spectra(fam, schedule, SLGrid(256), 3, 2)
+    for eps, spec in zip(schedule, spectra):
+        one, = assemble_spectra(fam, [eps], SLGrid(256), 3, 2)
+        assert (spec.eps, spec.entries, spec.complete_below) \
+            == (one.eps, one.entries, one.complete_below)
+
+
+@pytest.mark.parametrize("name, op", _lam_top_operators())
+def test_eigenvalue_only_solve_equals_the_full_solve(name, op):
+    full = solve_mode(op, SLGrid(512), 20)
+    only = solve_mode(op, SLGrid(512), 20, vectors=False)
+    for field in ("xs", "lam", "lam_err", "lam_raw", "mass"):
+        assert np.array_equal(getattr(only, field), getattr(full, field))
+    assert only.u.shape == (len(full.xs), 0)
+
+
+_OVERLAP_OP = WarpFamily.capped(n=3, c=0.8).radial_operator(2.0, 0.05)
+
+
+def test_overlapped_solve_matches_the_serial_path(cpus, forks):
+    # 1024 cells x 80 pairs lies beyond the size rule
+    cpus(2)
+    overlapped = solve_mode(_OVERLAP_OP, SLGrid(1024), 80)
+    assert forks == [1]
+    assert multiprocessing.active_children() == []
+    cpus(1)
+    serial = solve_mode(_OVERLAP_OP, SLGrid(1024), 80)
+    assert forks == [1]
+    for field in ("lam", "lam_err", "lam_raw", "u", "mass"):
+        assert np.array_equal(getattr(overlapped, field),
+                              getattr(serial, field))
+
+
+def test_overlapped_solve_reraises_a_fine_solve_error(monkeypatch, cpus,
+                                                      forks):
+    # the coarse pass would take a minute: the child must be stopped, not
+    # waited for
+    cpus(2)
+
+    def fine_fails(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("fine solve failed")
+
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", fine_fails)
+    monkeypatch.setattr(spectral, "_eigenvalues",
+                        lambda disc, count: time.sleep(60))
+    start = time.monotonic()
+    with pytest.raises(scipy.linalg.LinAlgError, match="fine solve failed"):
+        solve_mode(_OVERLAP_OP, SLGrid(1024), 80)
+    assert time.monotonic() - start < 30
+    assert forks == [1]
+    assert multiprocessing.active_children() == []
+
+
+def test_overlapped_solve_reraises_a_coarse_solve_error(monkeypatch, cpus,
+                                                        forks):
+    cpus(2)
+
+    def coarse_fails(disc, count):
+        raise SolverError(f"coarse solve of {count} pairs failed")
+
+    monkeypatch.setattr(spectral, "_eigenvalues", coarse_fails)
+    with pytest.raises(SolverError, match="coarse solve of 80 pairs failed"):
+        solve_mode(_OVERLAP_OP, SLGrid(1024), 80)
+    assert forks == [1]
+    assert multiprocessing.active_children() == []
+
+
+def test_no_overlap_below_the_size_rule(cpus, forks):
+    cpus(2)
+    solve_mode(_OVERLAP_OP, SLGrid(1024), 8)
+    assert forks == [0]
+
+
+def _forks_in_worker(job):
+    """A runner job: `solve_mode(*job)` and the number of processes it
+    forked, counted inside the worker."""
+    started = []
+    fork = os.fork
+    os.fork = lambda: started.append(1) or fork()
+    try:
+        solve_mode(*job)
+    finally:
+        os.fork = fork
+    return len(started)
+
+
+def test_no_overlap_inside_a_runner_worker(cpus, pools):
+    cpus(2)
+    jobs = [(_OVERLAP_OP, SLGrid(1024), 80)] * 2
+    with spectral._run_jobs(_forks_in_worker, jobs) as results:
+        assert list(results) == [0, 0]
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
 
 
 # -- minimax bounds -----------------------------------------------------------
