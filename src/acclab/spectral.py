@@ -132,26 +132,26 @@ def _beside(fork: bool, fn: Callable, *args) -> Iterator[Callable]:
     import multiprocessing
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_send_result, args=(sender, fn, args))
-    child.start()
-    sender.close()
-    received = False
+    with receiver:
+        with sender:
+            child = ctx.Process(target=_send_result, args=(sender, fn, args))
+            child.start()
+        received = False
 
-    def result():
-        nonlocal received
-        ok, value = receiver.recv()
-        received = True
-        if not ok:
-            raise value
-        return value
+        def result():
+            nonlocal received
+            ok, value = receiver.recv()
+            received = True
+            if not ok:
+                raise value
+            return value
 
-    try:
-        yield result
-    finally:
-        receiver.close()
-        if not received:
-            child.terminate()
-        child.join()
+        try:
+            yield result
+        finally:
+            if not received:
+                child.terminate()
+            child.join()
 
 
 # ---------------------------------------------------------------------------
