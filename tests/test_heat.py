@@ -9,16 +9,17 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_banded
 from scipy.special import jv
 
 from acclab.geometry import WarpFamily, indicial_roots, sphere_volume
 from acclab.heat import (TAIL_TOL, ExactConeMode, GridKernel, PolyKernel,
-                         _probe_result, _tail_lam_top,
+                         _probe_result, _tail_lam_top, _trapezoid_cosines,
                          coincident_angular_weight, cone_mode_kernel,
                          crank_nicolson_mode, euclidean_kernel, g0_fiber_check,
                          heat_from_spectrum, interior_probe, scaled_probe,
                          scaling_identity_defect, t_convolve, volterra_neumann)
-from acclab.spectral import SLGrid, SolverError, solve_mode
+from acclab.spectral import SLGrid, SolverError, _discretize, solve_mode
 
 
 # -- closed-form kernels -------------------------------------------------------
@@ -211,6 +212,45 @@ def test_crank_nicolson_oracle_agreement():
     for t, v in zip(times, cn):
         ev = heat_from_spectrum(sol, 0.5, 0.35, t)
         assert abs(v - ev) / abs(ev) < 1e-3
+
+
+def _crank_nicolson_solve_banded(op, grid, xp, times, probe_x, substeps):
+    """Reference stepping: one solve_banded call, so one tridiagonal
+    factorisation, per substep."""
+    disc = _discretize(op, grid)
+    diag, off, mass = disc.diag, disc.off, disc.mass
+    xn = disc.xs[disc.idx]
+    j0 = int(np.argmin(np.abs(xn - xp)))
+    u = np.zeros(len(xn))
+    u[j0] = 1.0 / mass[j0]
+    out = []
+    t_prev = 0.0
+    for t in times:
+        dt = (t - t_prev) / substeps
+        ab_l = np.zeros((3, len(xn)))
+        ab_l[0, 1:] = 0.5 * dt * off / mass[:-1]
+        ab_l[1] = 1.0 + 0.5 * dt * diag / mass
+        ab_l[2, :-1] = 0.5 * dt * off / mass[1:]
+        for _ in range(substeps):
+            rhs = u - 0.5 * dt / mass * (
+                np.r_[0.0, off * u[:-1]] + diag * u + np.r_[off * u[1:], 0.0])
+            u = solve_banded((1, 1), ab_l, rhs)
+        t_prev = t
+        val = np.interp(probe_x, xn, u)
+        if op.gamma != 0.0:
+            val *= probe_x ** op.gamma * xn[j0] ** op.gamma
+        out.append(float(val))
+    return out
+
+
+@pytest.mark.parametrize("profile,mu", [("capped", 0.0), ("capped", 2.0),
+                                        ("neck", 2.0)])
+def test_crank_nicolson_equals_the_per_step_banded_solve(profile, mu):
+    op = getattr(WarpFamily, profile)(n=3, c=0.8).radial_operator(mu, 0.05)
+    # the capped mu = 2 mode carries the x^gamma rescaling of the probe value
+    assert (op.gamma != 0.0) == (profile == "capped" and mu == 2.0)
+    args = (op, SLGrid(256), 0.35, [0.1, 0.3], 0.5, 50)
+    assert crank_nicolson_mode(*args) == _crank_nicolson_solve_banded(*args)
 
 
 def test_exact_cone_mode_matches_closed_form():
@@ -451,6 +491,28 @@ def test_g0_fiber_residuals():
     assert res["symmetry_defect"] < 1e-14
 
 
+def test_g0_fiber_check_refuses_a_step_that_does_not_divide_the_fiber():
+    for h in (3e-3, 7e-4):
+        with pytest.raises(SolverError, match=f"h = {h} does not divide"):
+            g0_fiber_check(1, h)
+
+
+def test_g0_fiber_pde_residual_scales_as_h_squared():
+    ratios = [g0_fiber_check(1, h)["pde_residual"] / h ** 2
+              for h in (4e-3, 2e-3, 1e-3)]
+    assert max(ratios) == pytest.approx(min(ratios), rel=1e-2)
+
+
+def test_trapezoid_cosines_equal_the_per_row_trapezoid():
+    # odd lengths and grids not symmetric about 0, so a phase error shows
+    xs = np.linspace(-3.0, 7.0, 1001)
+    xi = np.linspace(-2.0, 5.0, 141)
+    f = np.exp(-(xs - 1.0) ** 2) * (1.0 + xs)
+    direct = np.array([np.trapezoid(f * np.cos(k * xs), xs) for k in xi])
+    fast = _trapezoid_cosines(f, -3.0, 0.01, -2.0, 0.05, len(xi))
+    assert np.max(np.abs(fast - direct)) < 1e-12
+
+
 # -- Volterra machinery -----------------------------------------------------------
 
 def test_polykernel_closed_forms():
@@ -492,6 +554,53 @@ def test_t_convolve_spatial_grid_kernel():
     ip = float(np.sum(phi * phi * wts))
     expect = ip * phi[4] * phi[9] * ts[-1] ** 3 / 6.0
     assert out.values[4, 9, -1] == pytest.approx(expect, rel=1e-3)
+
+
+def _t_convolve_loop(a, b):
+    """Reference convolution: one matrix product per (k, l) pair, summed
+    over l = 0, ..., k in order."""
+    dt = a.t[1] - a.t[0]
+    nx, _, nt = a.values.shape
+    w = a.weights
+    out = np.zeros_like(a.values)
+    for k in range(nt):
+        acc = np.zeros((nx, nx))
+        for l in range(k + 1):
+            coeff = 0.5 if l in (0, k) else 1.0
+            acc += coeff * (a.values[:, :, k - l] * w[None, :]) @ b.values[:, :, l]
+        out[:, :, k] = acc * dt
+    return out
+
+
+@pytest.mark.parametrize("nx", [1, 12])
+@pytest.mark.parametrize("nt", [2, 3, 161])
+def test_t_convolve_equals_the_per_pair_loop(nx, nt):
+    rng = np.random.default_rng(nx * 1000 + nt)
+    ts = np.linspace(0, 1.0, nt)
+    w = rng.random(nx)
+    a = GridKernel(rng.standard_normal((nx, nx, nt)), ts, w)
+    b = GridKernel(rng.standard_normal((nx, nx, nt)), ts, w)
+    assert np.array_equal(t_convolve(a, b).values, _t_convolve_loop(a, b))
+
+
+def test_t_convolve_refuses_a_single_time_sample():
+    k = GridKernel.scalar(np.ones_like, np.array([0.0]))
+    with pytest.raises(ValueError, match="two samples"):
+        t_convolve(k, k)
+
+
+def test_t_convolve_refuses_kernels_on_different_time_grids():
+    with pytest.raises(ValueError, match="share their time grid"):
+        t_convolve(GridKernel.scalar(np.ones_like, np.array([0.0, 1.0])),
+                   GridKernel.scalar(np.ones_like, np.array([0.0, 2.0])))
+
+
+def test_t_convolve_refuses_kernels_with_different_weights():
+    ts = np.array([0.0, 1.0])
+    ones = np.ones((1, 1, 2))
+    with pytest.raises(ValueError, match="spatial weights"):
+        t_convolve(GridKernel(ones, ts, np.array([1.0])),
+                   GridKernel(ones, ts, np.array([5.0])))
 
 
 def test_volterra_neumann_factorial_decay():
