@@ -435,18 +435,24 @@ def g0_fiber_check(n: int = 1, h: float = 1e-3) -> dict:
     [-Laplacian - (R + n)/2] G0 = 0 (R the radial vector field) and its
     unit-normalized Fourier transform solves (xi d_xi + 2 |xi|^2) u = 0 with
     u(0) = 1.  Both residuals are measured by second-order differencing with
-    step h on [-10, 10]; h must divide 10, and halving h divides the PDE
-    residual by about 4.  The transform is the trapezoidal rule on that grid
-    at 2401 points of [-6, 6], all evaluated by one FFT convolution
-    (`_trapezoid_cosines`); it agrees with the direct sum to about 1e-12.
+    step h on [-10, 10]; h must be positive, divide 10 and leave at least
+    16 cells on it, and halving h divides the PDE residual by about 4.  The
+    transform is the trapezoidal rule on that grid at 2401 points of
+    [-6, 6], all evaluated by one FFT convolution (`_trapezoid_cosines`); it
+    agrees with the direct sum to about 1e-12.
     """
     if n != 1:
         raise SolverError("fiber grids implemented for n = 1")
     length = 10.0
+    if not h > 0:
+        raise SolverError(f"grid step h = {h} must be positive")
     m = int(round(length / h))
     if abs(m * h - length) > 1e-12:
         raise SolverError(f"grid step h = {h} does not divide the fiber "
                           f"half-length {length}")
+    if m < 16:
+        raise SolverError(f"grid step h = {h} leaves {m} cells on the fiber "
+                          f"half-length {length}; need at least 16")
     xs = np.linspace(-length, length, 2 * m + 1)
     g0 = (4.0 * math.pi) ** (-n / 2.0) * np.exp(-xs ** 2 / 4.0)
 
@@ -491,11 +497,12 @@ class GridKernel:
 def t_convolve(a: GridKernel, b: GridKernel) -> GridKernel:
     """(A * B)(z, z', t) = int_0^t int A(z, w, t-s) B(w, z', s) dw ds.
 
-    Composite trapezoidal rule in s on the shared uniform time grid; the
-    spatial integral is the weighted matrix product.  Both kernels must
-    share their time grid and spatial weights.  The terms are summed one
-    lag l at a time over every output time at once, and each time index k
-    still sums its terms l = 0, ..., k in order.
+    Composite trapezoidal rule in s on the shared uniform time grid, which
+    starts at 0 and has one time per sample; the spatial integral is the
+    weighted matrix product.  Both kernels must share their time grid and
+    spatial weights.  The terms are summed one lag l at a time over every
+    output time at once, and each time index k still sums its terms
+    l = 0, ..., k in order.
     """
     if a.values.shape != b.values.shape:
         raise ValueError("kernels must share their sample grids")
@@ -505,10 +512,14 @@ def t_convolve(a: GridKernel, b: GridKernel) -> GridKernel:
         raise ValueError("kernels must share their time grid")
     if not np.array_equal(a.weights, b.weights):
         raise ValueError("kernels must share their spatial weights")
+    nt = a.values.shape[2]
+    if len(a.t) != nt:
+        raise ValueError(f"time grid has {len(a.t)} times for {nt} samples")
+    if a.t[0] != 0.0:
+        raise ValueError(f"time grid must start at 0, not {a.t[0]}")
     dt = a.t[1] - a.t[0]
     if not np.allclose(np.diff(a.t), dt):
         raise ValueError("time grid must be uniform")
-    nt = a.values.shape[2]
     # time-major stacks, so each lag's product runs over contiguous blocks
     aw = np.ascontiguousarray(
         np.moveaxis(a.values * a.weights[None, :, None], 2, 0))

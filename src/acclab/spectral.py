@@ -46,6 +46,19 @@ _LAM_TOP_MARGIN = 2
 # 32768 on the overlap saves 17-23%.
 _OVERLAP_WORK = 16384
 
+# rows x count^2 from which `eigh_tridiagonal` computes its eigenvectors one
+# eigenvalue cluster at a time.  Measured in-process on a 2-CPU host,
+# eigenvalues plus vectors of the capped c = 0.8, mu = 2, eps = 0.05 mode,
+# one stein call against clusters: 2048 x 80 0.064 s against 0.121 s,
+# 4096 x 64 0.099 against 0.118, 16384 x 100 0.576 against 0.523; criterion
+# 6's 16384 x 200 solves save a fifth of their time and one eigenvector
+# array.  Below the rule stay the solves of the heat probes, which run in
+# forked workers, where threaded BLAS products stall against the other
+# worker.
+_CLUSTER_WORK = 2 ** 24
+# rows of an eigenvector block multiplied by R^(-1) at once
+_QR_CHUNK = 2048
+
 # true in every process that `_run_jobs` or `_beside` forks, and set once
 # there: those already hold their share of the CPUs, so they fork no further
 _in_child = False
@@ -83,7 +96,11 @@ def _run_jobs(fn: Callable, jobs: list) -> Iterator[Iterator]:
     are cancelled and every worker is joined.  Workers are forked: a
     spawned worker would import numpy and scipy again, which costs more
     than most mode solves.  `fn` and everything in a job is pickled, so
-    `fn` must be a module-level name.
+    `fn` must be a module-level name.  Jobs must not run threaded BLAS at
+    sizes where OpenBLAS starts its threads (such as the products of the
+    cluster path in `eigh_tridiagonal`): a worker's BLAS threads stall
+    against the other worker, and stein calls with long level-1 loops took
+    33 s on the pool against 0.6 s in one process.
     """
     pool = None
     if len(jobs) > 1 and _may_fork():
@@ -276,25 +293,81 @@ def _discretize(op: RadialOperator, grid: SLGrid) -> _Discretization:
                            off * d[:-1] * d[1:])
 
 
-def eigh_tridiagonal(d, e, eigvals_only=False, select="a", select_range=None):
-    """scipy.linalg.eigh_tridiagonal, bit for bit, without scipy's copy of
-    the eigenvectors when stebz already returns ascending eigenvalues (the
-    freed copy made peak memory vary by one whole matrix between runs)."""
+def eigh_tridiagonal(d, e, eigvals_only=False, select="a", select_range=None,
+                     out=None):
+    """scipy.linalg.eigh_tridiagonal, with the eigenvalues bit for bit.
+
+    With `select="i"` and vectors, the eigenvalues come from one LAPACK
+    stebz call; `out`, if given, receives the eigenvectors (rows x count)
+    and is returned in place of a new array.  Below rows x count^2 =
+    `_CLUSTER_WORK` the vectors come from one LAPACK stein call, as scipy's
+    do, but without scipy's copy when stebz already returns ascending
+    eigenvalues (the freed copy made peak memory vary by one whole matrix
+    between runs).  From there on stein would take every pair for one
+    cluster (its rule is 1e-3 ||T||_1) and orthogonalise each vector
+    against all earlier ones, at a cost growing as count^2; instead stein
+    runs once per cluster of eigenvalues no more than sqrt(eps) ||T||_1
+    apart, writing straight into `out`, and one Cholesky-QR pass
+    (`_orthonormalize`) restores orthonormality across clusters.  Those
+    vectors agree with LAPACK's to about 1e-11 up to sign (spectral
+    projectors, within a cluster); each stein call seeds itself, so the
+    bits do not depend on the call's neighbours.
+    """
     if eigvals_only or select != "i":
         return linalg.eigh_tridiagonal(d, e, eigvals_only=eigvals_only,
                                        select=select, select_range=select_range)
     stebz, stein = linalg.get_lapack_funcs(("stebz", "stein"), (d, e))
+
+    def checked(info):
+        if info:
+            raise linalg.LinAlgError(f"eigh_tridiagonal: LAPACK info {info}")
+
     # range 2: by 1-based index; order "B": grouped by diagonal block
     m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, select_range[0] + 1,
                                        select_range[1] + 1, 0.0, "B")
-    if info == 0:
-        vec, info = stein(d, e, w[:m], iblock, isplit)
-    if info:
-        raise linalg.LinAlgError(f"eigh_tridiagonal: LAPACK info {info}")
-    order = np.argsort(w[:m])
-    if np.any(order != np.arange(m)):
-        return w[order], vec[:, order]
-    return w[:m], vec
+    checked(info)
+    w = w[:m]
+    order = np.argsort(w)
+    if len(d) * m * m < _CLUSTER_WORK:
+        vec, info = stein(d, e, w, iblock, isplit)
+        checked(info)
+        if np.any(order != np.arange(m)):
+            vec = vec[:, order]
+        if out is None:
+            return w[order], vec
+        out[...] = vec
+        return w[order], out
+    if out is None:
+        out = np.empty((len(d), m))
+    # column j of stebz's order is column place[j] of the ascending result
+    place = np.empty(m, dtype=np.intp)
+    place[order] = np.arange(m)
+    norm = np.abs(d)
+    norm[:-1] += np.abs(e)
+    norm[1:] += np.abs(e)
+    gap = math.sqrt(np.finfo(float).eps) * float(np.max(norm))
+    starts = np.r_[0, np.flatnonzero(np.diff(w) > gap) + 1, m]
+    # stein reads the first (cluster size) entries of a length-rows iblock
+    ib = np.zeros_like(iblock)
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        ib[:hi - lo] = iblock[lo:hi]
+        vec, info = stein(d, e, w[lo:hi], ib, isplit)
+        checked(info)
+        out[:, place[lo:hi]] = vec
+    _orthonormalize(out)
+    return w[order], out
+
+
+def _orthonormalize(q: np.ndarray) -> None:
+    """q <- q R^(-1) in place, with R^T R = q^T q (one Cholesky-QR pass).
+
+    R^(-1) is applied `_QR_CHUNK` rows at a time, so no temporary of the
+    size of q exists.
+    """
+    r = linalg.cholesky(q.T @ q)
+    r_inv = linalg.solve_triangular(r, np.eye(len(r)))
+    for i in range(0, len(q), _QR_CHUNK):
+        q[i:i + _QR_CHUNK] = q[i:i + _QR_CHUNK] @ r_inv
 
 
 def _count_below(disc: _Discretization, lam_top: float) -> int:
@@ -328,7 +401,14 @@ def solve_mode(op: RadialOperator, grid: SLGrid, count: Optional[int] = None,
     coarse-grid eigenvalues at or below it plus a margin of two, and the
     call fails unless the last extrapolated eigenvalue reaches `lam_top`.
     With `vectors=False` no eigenvector is computed and `u` has no columns;
-    the eigenvalues are the same to the bit.
+    the eigenvalues are the same to the bit.  The fine grid's eigenvectors
+    are written straight into the rows of `u` that hold the unknowns (see
+    `eigh_tridiagonal`): from fine rows x count^2 = `_CLUSTER_WORK` on they
+    are computed one eigenvalue cluster at a time (a new cluster wherever
+    consecutive eigenvalues lie more than sqrt(eps) ||T||_1 apart) and
+    orthonormalised by one Cholesky-QR pass; they agree with LAPACK's
+    single stein call to about 1e-11, and the eigenvalues are bit-equal.
+    Below that size they are LAPACK's, bit for bit.
 
     From count x N = `_OVERLAP_WORK` on, the coarse-grid eigenvalues are
     computed in a forked child while this process solves the fine grid
@@ -347,12 +427,14 @@ def solve_mode(op: RadialOperator, grid: SLGrid, count: Optional[int] = None,
     with _beside(count * grid.n >= _OVERLAP_WORK, _eigenvalues, coarse,
                  count) as coarse_lam:
         if vectors:
-            lam2, vec = eigh_tridiagonal(fine.bd, fine.bo, select="i",
-                                         select_range=(0, count - 1))
-            # scaled in place: no eigenvector-sized temporary
-            vec *= (1.0 / np.sqrt(fine.mass))[:, None]
             u2 = np.zeros((len(xs2), count))
-            u2[fine.idx, :] = vec
+            # the unknowns are contiguous rows of u2; their view receives
+            # the eigenvectors and is scaled in place, so no second
+            # eigenvector-sized array exists on the cluster path
+            vec = u2[fine.idx[0]:fine.idx[-1] + 1]
+            lam2, _ = eigh_tridiagonal(fine.bd, fine.bo, select="i",
+                                       select_range=(0, count - 1), out=vec)
+            vec *= (1.0 / np.sqrt(fine.mass))[:, None]
             g_ = op.gamma
             if g_ != 0.0:
                 u2 *= xs2[:, None] ** g_

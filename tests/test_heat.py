@@ -497,6 +497,14 @@ def test_g0_fiber_check_refuses_a_step_that_does_not_divide_the_fiber():
             g0_fiber_check(1, h)
 
 
+@pytest.mark.parametrize("h, reason", [(5.0, "leaves 2 cells"),
+                                       (10.0, "leaves 1 cells"),
+                                       (-1e-3, "must be positive")])
+def test_g0_fiber_check_refuses_a_step_below_sixteen_cells(h, reason):
+    with pytest.raises(SolverError, match=f"h = {h} {reason}"):
+        g0_fiber_check(1, h)
+
+
 def test_g0_fiber_pde_residual_scales_as_h_squared():
     ratios = [g0_fiber_check(1, h)["pde_residual"] / h ** 2
               for h in (4e-3, 2e-3, 1e-3)]
@@ -586,6 +594,18 @@ def test_t_convolve_equals_the_per_pair_loop(nx, nt):
 def test_t_convolve_refuses_a_single_time_sample():
     k = GridKernel.scalar(np.ones_like, np.array([0.0]))
     with pytest.raises(ValueError, match="two samples"):
+        t_convolve(k, k)
+
+
+def test_t_convolve_refuses_a_time_grid_longer_than_the_samples():
+    k = GridKernel(np.ones((1, 1, 3)), np.linspace(0.0, 1.0, 5), np.ones(1))
+    with pytest.raises(ValueError, match="5 times for 3 samples"):
+        t_convolve(k, k)
+
+
+def test_t_convolve_refuses_a_time_grid_that_does_not_start_at_0():
+    k = GridKernel.scalar(np.ones_like, np.array([0.5, 0.75, 1.0]))
+    with pytest.raises(ValueError, match="start at 0, not 0.5"):
         t_convolve(k, k)
 
 

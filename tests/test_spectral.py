@@ -131,17 +131,114 @@ def test_scale_c_enters_through_nu():
     assert sol.lam[0] == pytest.approx(z ** 2, rel=1e-6)
 
 
-def test_eigenvectors_w_orthonormal():
-    fam = WarpFamily.capped(n=3, c=1.0)
-    sol = solve_mode(fam.radial_operator(2.0, 0.1), SLGrid(512), 5)
-    g = sol.operator.gamma
-    v = sol.u / np.where(sol.xs[:, None] > 0, sol.xs[:, None] ** g, 1.0)
-    v[sol.xs == 0.0] = 0.0 if g > 0 else sol.u[sol.xs == 0.0]
-    gram = (v * sol.mass[:, None]).T @ v
-    assert np.max(np.abs(gram - np.eye(5))) < 1e-10
+# the neck's unsplit mode operator at ell = 4, eps = 0.0125: eigenvalue pairs
+# equal to the last bit, so the cluster path meets clusters of two
+_NECK = WarpFamily.neck(n=3, c=1.0, mode_count=7)
+_NECK_OP = _NECK.radial_operator(_NECK.cross_section.mu(4), 0.0125)
 
 
-@pytest.mark.parametrize("case", ["cone", "split", "by_value", "values_only"])
+def _mode_solution(request, case):
+    if case == "capped":
+        fam = WarpFamily.capped(n=3, c=1.0)
+        return solve_mode(fam.radial_operator(2.0, 0.1), SLGrid(512), 5)
+    if case == "neck":
+        return solve_mode(_NECK_OP, SLGrid(4096), 48)
+    return request.getfixturevalue("cone_mode_solves")[{"cone mu=0": 0.0,
+                                                        "cone mu=2": 2.0}[case]]
+
+
+def _unit_vectors(sol):
+    """The fine grid's discretization and its orthonormal eigenvectors
+    sqrt(M) u / x^gamma on the unknowns, which `sol.u` was built from.
+
+    Where gamma > 0 makes u = 0 at a tip node x = 0, the tip component
+    follows from the first row of the eigen-equation of the mass-scaled
+    tridiagonal, so the w inner product keeps the tip's mass.
+    """
+    disc = spectral._discretize(sol.operator, SLGrid(len(sol.xs) - 1))
+    x = disc.xs[disc.idx, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vec = sol.u[disc.idx] / x ** sol.operator.gamma
+    vec *= np.sqrt(disc.mass)[:, None]
+    if x[0, 0] == 0.0 and sol.operator.gamma > 0:
+        vec[0] = disc.bo[0] * vec[1] / (sol.lam_raw - disc.bd[0])
+    return disc, vec
+
+
+_SOLVES = ["capped", "cone mu=0", "cone mu=2", "neck"]
+
+
+@pytest.mark.parametrize("case", _SOLVES)
+def test_eigenvectors_w_orthonormal(request, case):
+    _, vec = _unit_vectors(_mode_solution(request, case))
+    assert np.max(np.abs(vec.T @ vec - np.eye(vec.shape[1]))) < 1e-13
+
+
+@pytest.mark.parametrize("case", _SOLVES[1:])
+def test_cluster_path_eigenpairs_match_lapack(request, case):
+    # columns up to sign; inside a cluster of equal eigenvalues, where the
+    # basis is arbitrary, the spectral projector
+    sol = _mode_solution(request, case)
+    disc, vec = _unit_vectors(sol)
+    count = vec.shape[1]
+    assert len(disc.bd) * count ** 2 >= spectral._CLUSTER_WORK
+    lam, ref = scipy.linalg.eigh_tridiagonal(disc.bd, disc.bo, select="i",
+                                             select_range=(0, count - 1))
+    assert np.array_equal(lam, sol.lam_raw)
+    norm = np.abs(disc.bd)
+    norm[:-1] += np.abs(disc.bo)
+    norm[1:] += np.abs(disc.bo)
+    gap = math.sqrt(np.finfo(float).eps) * np.max(norm)
+    starts = np.r_[0, np.flatnonzero(np.diff(lam) > gap) + 1, count]
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        ours, theirs = vec[:, lo:hi], ref[:, lo:hi]
+        if hi - lo == 1:
+            err = min(np.max(np.abs(ours - theirs)),
+                      np.max(np.abs(ours + theirs)))
+        else:
+            err = np.max(np.abs(ours - theirs @ (theirs.T @ ours)))
+        assert err < 1e-9, (lo, hi)
+    if case == "neck":
+        assert np.any(np.diff(starts) > 1)
+
+
+def test_solve_below_the_cluster_rule_keeps_the_single_stein_bits():
+    op = _OVERLAP_OP
+    sol = solve_mode(op, SLGrid(1024), 80)
+    disc = spectral._discretize(op, SLGrid(2048))
+    assert len(disc.bd) * 80 ** 2 < spectral._CLUSTER_WORK
+    lam, vec = scipy.linalg.eigh_tridiagonal(disc.bd, disc.bo, select="i",
+                                             select_range=(0, 79))
+    vec *= (1.0 / np.sqrt(disc.mass))[:, None]
+    u = np.zeros((len(disc.xs), 80))
+    u[disc.idx] = vec
+    u *= disc.xs[:, None] ** op.gamma
+    assert np.array_equal(sol.lam_raw, lam)
+    assert np.array_equal(sol.u, u)
+
+
+def test_cluster_path_orders_split_blocks():
+    # a zero off-diagonal splits T into two blocks with interleaved
+    # spectra, so stebz's block order is not ascending
+    disc = spectral._discretize(_OVERLAP_OP, SLGrid(2048))
+    d = np.r_[disc.bd, 1.7 * disc.bd]
+    e = np.r_[disc.bo, 0.0, 1.7 * disc.bo]
+    count = 80
+    assert len(d) * count ** 2 >= spectral._CLUSTER_WORK
+    out = np.full((len(d), count), np.nan)
+    lam, vec = spectral.eigh_tridiagonal(d, e, select="i",
+                                         select_range=(0, count - 1), out=out)
+    assert vec is out
+    ref_lam, ref = scipy.linalg.eigh_tridiagonal(d, e, select="i",
+                                                 select_range=(0, count - 1))
+    assert np.array_equal(lam, ref_lam)
+    assert np.max(np.abs(vec.T @ vec - np.eye(count))) < 1e-13
+    sign = np.sign(np.sum(vec * ref, axis=0))
+    assert np.max(np.abs(vec * sign - ref)) < 1e-9
+
+
+@pytest.mark.parametrize("case", ["cone", "cone_out", "split", "by_value",
+                                  "values_only"])
 def test_eigh_tridiagonal_equals_scipy_bit_for_bit(case):
     if case == "split":
         # a zero off-diagonal splits T into blocks, so stebz's block order
@@ -154,12 +251,17 @@ def test_eigh_tridiagonal_equals_scipy_bit_for_bit(case):
                                     SLGrid(512))
         d, e = disc.bd, disc.bo
     kwargs = {"cone": dict(select="i", select_range=(0, 39)),
+              "cone_out": dict(select="i", select_range=(0, 39),
+                               out=np.empty((len(d), 40))),
               "split": dict(select="i", select_range=(0, 4)),
               "by_value": dict(select="v", select_range=(-1.0, 500.0)),
               "values_only": dict(eigvals_only=True, select="i",
                                   select_range=(3, 9))}[case]
     ours = spectral.eigh_tridiagonal(d, e, **kwargs)
-    theirs = scipy.linalg.eigh_tridiagonal(d, e, **kwargs)
+    theirs = scipy.linalg.eigh_tridiagonal(
+        d, e, **{k: v for k, v in kwargs.items() if k != "out"})
+    if "out" in kwargs:
+        assert ours[1] is kwargs["out"]
     if not isinstance(ours, tuple):
         ours, theirs = (ours,), (theirs,)
     assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
@@ -600,14 +702,17 @@ def test_eigenvalue_only_solve_equals_the_full_solve(name, op):
 _OVERLAP_OP = WarpFamily.capped(n=3, c=0.8).radial_operator(2.0, 0.05)
 
 
-def test_overlapped_solve_matches_the_serial_path(cpus, forks):
-    # 1024 cells x 80 pairs lies beyond the size rule
+@pytest.mark.parametrize("count", [80, 96])
+def test_overlapped_solve_matches_the_serial_path(cpus, forks, count):
+    # 1024 cells x 80 pairs lies beyond the overlap's size rule; 96 pairs on
+    # the 2048 fine rows lie beyond the cluster path's as well
+    assert (2048 * count ** 2 >= spectral._CLUSTER_WORK) == (count == 96)
     cpus(2)
-    overlapped = solve_mode(_OVERLAP_OP, SLGrid(1024), 80)
+    overlapped = solve_mode(_OVERLAP_OP, SLGrid(1024), count)
     assert forks == [1]
     assert multiprocessing.active_children() == []
     cpus(1)
-    serial = solve_mode(_OVERLAP_OP, SLGrid(1024), 80)
+    serial = solve_mode(_OVERLAP_OP, SLGrid(1024), count)
     assert forks == [1]
     for field in ("lam", "lam_err", "lam_raw", "u", "mass"):
         assert np.array_equal(getattr(overlapped, field),
