@@ -26,7 +26,7 @@ for profile in ("capped", "neck"):
     # a sample curve and its empirical convergence rate
     key = (0, "odd", 1) if profile == "neck" else (0, "", 1)
     print("  lambda_1 curve:", [round(l, 5) for l in flow.curves[key]],
-          f"empirical rate ~ {flow.rates[key]:.2f}")
+          f"empirical rate ~ {flow.fits[key].rate:.2f}")
     print()
 
 print("the capped c=1 family is the flat ball: its curves are constant in eps")

@@ -378,8 +378,8 @@ def cmd_flow(args) -> int:
             "tolerance": cl.tolerance,
         } for cl in flow.clusters],
         "verdict": flow.verdict,
-        "empirical_rates": {f"{k[0]}/{k[1] or '-'}/{k[2]}": flow.rates[k]
-                            for k in sorted(flow.rates)},
+        "empirical_rates": {f"{k[0]}/{k[1] or '-'}/{k[2]}": flow.fits[k].rate
+                            for k in sorted(flow.fits)},
     }
     (out / "clusters.json").write_text(json.dumps(summary, indent=2,
                                                   sort_keys=True, default=str))

@@ -596,48 +596,48 @@ class Cluster:
 CurveKey = Tuple[int, str, int]  # (ell, branch, k)
 
 
+class TailFit(NamedTuple):
+    limit: float  # a_0, or the last value when status is not "ok"
+    rate: float   # order read from the last three points, or nan
+    status: str   # "ok", "diverged" or "singular"
+
+
 @dataclass
 class SpectralFlow:
     schedule: List[float]
     curves: Dict[CurveKey, List[float]]
     clusters: List[Cluster]
-    rates: Dict[CurveKey, float]
+    fits: Dict[CurveKey, TailFit]
     verdict: dict
 
 
-def _power_fit(schedule: Sequence[float], vals: Sequence[float],
-               powers: Sequence[int]) -> float:
-    """Fit lambda(eps) = sum_j a_j eps^(p_j) on the last len(powers) points
-    and return the eps -> 0 limit a_0 (powers must start with 0)."""
+def tail_fit(steps: Sequence[float], values: Sequence[float],
+             powers: Sequence[float]) -> TailFit:
+    """Fit values = sum_j a_j steps^(p_j) on the last len(powers) points
+    (powers start with 0, may be floats); the limit is a_0.  A singular fit,
+    or an a_0 further than 4x the window's spread from the last value
+    ("diverged"), falls back to that last value.  The rate is the order p of
+    values ~ a_0 + a steps^p, log(d1/d2) / log(step ratio) on the last three
+    points: nan unless those steps are geometric to a relative 1e-12 and the
+    differences keep one sign and shrink."""
+    rate = math.nan
+    if len(values) >= 3:
+        r = steps[-2] / steps[-1]
+        d1, d2 = values[-2] - values[-3], values[-1] - values[-2]
+        if (abs(steps[-3] / steps[-2] - r) <= 1e-12 * r
+                and d1 * d2 > 0 and abs(d2) < abs(d1)):
+            rate = math.log(abs(d1 / d2)) / math.log(r)
     k = len(powers)
-    e = np.asarray(schedule[-k:], dtype=float)
-    l = np.asarray(vals[-k:], dtype=float)
-    V = np.stack([e ** p for p in powers], axis=1)
+    e = np.asarray(steps[-k:], dtype=float)
+    l = np.asarray(values[-k:], dtype=float)
     try:
-        coef = np.linalg.solve(V, l)
+        coef = np.linalg.solve(np.stack([e ** p for p in powers], axis=1), l)
     except np.linalg.LinAlgError:
-        return float(l[-1])
+        return TailFit(float(l[-1]), rate, "singular")
     est = float(coef[0])
-    spread = float(np.max(l) - np.min(l))
-    if abs(est - l[-1]) > 4.0 * max(spread, 1e-12):
-        return float(l[-1])  # fit diverged; the raw tail is safer
-    return est
-
-
-def _empirical_rate(schedule: Sequence[float], vals: Sequence[float]) -> float:
-    """The order p of lambda(eps) ~ lambda_0 + a eps^p from the last three
-    points, log(d1/d2) / log(eps ratio).  That reading needs a geometric
-    tail: nan unless the last three eps values are geometric to a relative
-    1e-12, and nan unless the differences keep one sign and shrink."""
-    if len(vals) < 3:
-        return float("nan")
-    r = schedule[-2] / schedule[-1]
-    if abs(schedule[-3] / schedule[-2] - r) > 1e-12 * r:
-        return float("nan")
-    d1, d2 = vals[-2] - vals[-3], vals[-1] - vals[-2]
-    if d1 == 0.0 or d2 == 0.0 or d1 * d2 <= 0 or abs(d2) >= abs(d1):
-        return float("nan")
-    return math.log(abs(d1 / d2)) / math.log(r)
+    if abs(est - l[-1]) > 4.0 * max(float(np.max(l) - np.min(l)), 1e-12):
+        return TailFit(float(l[-1]), rate, "diverged")
+    return TailFit(est, rate, "ok")
 
 
 #: the fewest eps values `spectral_flow` takes: one per power of the largest
@@ -658,17 +658,16 @@ def spectral_flow(family: WarpFamily, schedule: Sequence[float], grid: SLGrid,
                   rel_tol: float = 1e-3) -> SpectralFlow:
     """Track per-mode eigenvalue curves along a decreasing eps schedule.
 
-    Accumulation estimates (power-model extrapolants of the curves) are
-    matched against the Bessel-zero reference; the cluster window ties
-    multiplicity counting to 3x the Richardson estimate floored by
-    rel_tol * lambda.  Both inclusions are checked within the mode universe
-    ell <= ell_max.
+    Each curve's `tail_fit` limit is matched against the Bessel-zero
+    reference; the cluster window ties multiplicity counting to 3x the
+    Richardson estimate floored by rel_tol * lambda.  Both inclusions are
+    checked within the mode universe ell <= ell_max.
     """
     schedule = list(schedule)
-    if (len(schedule) < FLOW_MIN_POINTS
+    if (len(schedule) < FLOW_MIN_POINTS or schedule[-1] <= 0
             or any(b >= a for a, b in zip(schedule, schedule[1:]))):
-        raise SolverError(f"need a decreasing eps schedule with >= "
-                          f"{FLOW_MIN_POINTS} points")
+        raise SolverError(f"need a strictly decreasing list of positive eps "
+                          f"values with >= {FLOW_MIN_POINTS} points")
 
     curves: Dict[CurveKey, List[float]] = {}
     errs: Dict[CurveKey, float] = {}
@@ -682,17 +681,15 @@ def spectral_flow(family: WarpFamily, schedule: Sequence[float], grid: SLGrid,
             errs[key] = max(errs.get(key, 0.0), e["err"])
             meta[key] = {"mu": e["mu"], "mult": e["mult"]}
 
-    rates = {key: _empirical_rate(schedule, vals)
-             for key, vals in curves.items()}
-    estimates = {key: _power_fit(schedule, vals, curve_powers(family, key[1]))
-                 for key, vals in curves.items()}
+    fits = {key: tail_fit(schedule, vals, curve_powers(family, key[1]))
+            for key, vals in curves.items()}
 
     # each curve joins the first cluster whose window holds it, or starts one;
     # no doubling factor on the cluster side: the neck's even/odd curve
     # pairs enter clusters separately and double the count on their own
     clusters: List[Cluster] = []
-    for key in sorted(estimates, key=lambda k: estimates[k]):
-        est = estimates[key]
+    for key in sorted(fits, key=lambda k: fits[k].limit):
+        est = fits[key].limit
         tol = max(3.0 * errs[key], rel_tol * abs(est))
         cl = next((cl for cl in clusters
                    if abs(cl.center - est) <= max(tol, cl.tolerance)), None)
@@ -738,8 +735,10 @@ def spectral_flow(family: WarpFamily, schedule: Sequence[float], grid: SLGrid,
         "multiplicity_mismatches": mult_mismatch,
         "mode_universe_ell_max": ell_max,
         "complete_below": complete_below,
+        "fit_fallbacks": [(key, fit.status) for key, fit in sorted(fits.items())
+                          if fit.status != "ok"],
     }
-    return SpectralFlow(schedule, curves, clusters, rates, verdict)
+    return SpectralFlow(schedule, curves, clusters, fits, verdict)
 
 
 # ---------------------------------------------------------------------------

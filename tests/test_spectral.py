@@ -553,6 +553,9 @@ def test_spectral_flow_schedule_validation():
         spectral_flow(fam, [0.1, 0.2, 0.05, 0.01], SLGrid(256), 2, 1)
     with pytest.raises(SolverError, match="4 points"):
         spectral_flow(fam, [0.2, 0.1], SLGrid(256), 2, 1)
+    for last in (0.0, -0.05):  # no rate reading or verdict on eps <= 0
+        with pytest.raises(SolverError, match="positive"):
+            spectral_flow(fam, [0.2, 0.1, 0.05, last], SLGrid(256), 3, 2)
 
 
 def _brute_force_verdict(flow, reference):
@@ -615,13 +618,70 @@ def test_failing_flow_verdict_equals_brute_force(profile, c, unmatched,
     ([0.2, 0.1, 0.05, 0.025], 2.0),    # geometric tail: the true order
     ([0.2, 0.1, 0.05, 0.04], math.nan),  # not geometric: no reading
 ])
-def test_empirical_rate_reads_geometric_tails_only(schedule, rate):
+def test_tail_fit_reads_rates_on_geometric_tails_only(schedule, rate):
     vals = [1.0 + 2.0 * e ** 2 for e in schedule]
-    got = spectral._empirical_rate(schedule, vals)
+    got = spectral.tail_fit(schedule, vals, (0, 1, 2, 3)).rate
     if math.isnan(rate):
         assert math.isnan(got)
     else:
         assert got == pytest.approx(rate, rel=1e-9)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from([(0, 1, 2, 3), (0, 2, 3), (0, 3.674, 5.674)]),
+       st.floats(1.0, 100.0),
+       st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3))
+def test_tail_fit_recovers_a_sum_of_its_model_terms(powers, a0, rest):
+    vals = [a0 + sum(a * e ** p for a, p in zip(rest, powers[1:]))
+            for e in SCHEDULE]
+    fit = spectral.tail_fit(SCHEDULE, vals, powers)
+    assert fit.status == "ok"
+    assert abs(fit.limit - a0) <= 1e-12 * a0
+
+
+@pytest.mark.parametrize("steps, vals, status", [
+    # a zig-zag on an arithmetic tail extrapolates far outside its spread
+    ([0.4, 0.3, 0.2, 0.1], [1.0, 0.0, 1.0, 0.0], "diverged"),
+    ([0.2, 0.1, 0.1, 0.05], [1.0, 2.0, 2.0, 3.0], "singular"),
+])
+def test_tail_fit_falls_back_to_the_last_value(steps, vals, status):
+    fit = spectral.tail_fit(steps, vals, (0, 1, 2, 3))
+    assert (fit.limit, fit.status) == (vals[-1], status)
+
+
+# -- negative controls: the flow verdict against a known-wrong limit -----------
+
+def _wrong_reference(monkeypatch, delta=0.0, extra_ell=None):
+    """Make `spectral_flow` compare with the reference at cone slope
+    c (1 + delta), with one more multiplicity on every ell = extra_ell
+    entry."""
+    exact = spectral.conic_reference_spectrum
+
+    def reference(family, count, ell_max):
+        ref = exact(dataclasses.replace(family, c=family.c * (1 + delta)),
+                    count, ell_max)
+        for e in ref.entries:
+            if e["ell"] == extra_ell:
+                e["mult"] += 1
+        return ref
+    monkeypatch.setattr(spectral, "conic_reference_spectrum", reference)
+
+
+@pytest.mark.parametrize("profile", ["capped", "neck"])
+@pytest.mark.parametrize("delta, extra_ell, failures", [
+    (0.0, None, (0, 0, 0)),
+    (3e-4, None, (0, 0, 0)),
+    (1e-3, None, (1, 1, 0)),
+    (0.0, 1, (0, 0, 3)),  # both inclusions hold, multiplicities do not
+])
+def test_flow_verdict_against_a_wrong_reference(monkeypatch, profile, delta,
+                                                extra_ell, failures):
+    _wrong_reference(monkeypatch, delta, extra_ell)
+    fam = getattr(WarpFamily, profile)(n=3, c=1.0)
+    v = spectral_flow(fam, SCHEDULE, SLGrid(256), count=3, ell_max=2).verdict
+    assert (len(v["unmatched_clusters"]), len(v["unmatched_references"]),
+            len(v["multiplicity_mismatches"])) == failures
+    assert v["multiplicities_match"] is (failures[2] == 0)
 
 
 def test_flow_upper_bound_direction_capped():
