@@ -10,7 +10,10 @@ with nu = sqrt(((n-2)/2)^2 + mu/c^2).
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import mmap
 import os
 import threading
 from contextlib import contextmanager
@@ -20,6 +23,7 @@ from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 import numpy as np
+import scipy
 from scipy import linalg
 from scipy.linalg import eigh
 from scipy.special import jv, jvp
@@ -40,21 +44,21 @@ _LAM_TOP_MARGIN = 2
 # ---------------------------------------------------------------------------
 
 # count x N from which `solve_mode` runs its coarse pass in a forked child
-# beside the fine one.  Measured on a 2-CPU host, next to a 150 MB array
-# that the fork has to map: 2048 x 4 = 8192 lost (16.0 ms against 13.6 ms
-# serially), 2048 x 8 = 16384 won (20.3 against 22.4 ms), and from about
-# 32768 on the overlap saves 17-23%.
+# beside the fine one (from `_CLUSTER_WORK` on, the upper part of the fine
+# grid's index range as well).  Measured on a 2-CPU host, next to a 150 MB
+# array that the fork has to map: 2048 x 4 = 8192 lost (16.0 ms against
+# 13.6 ms serially), 2048 x 8 = 16384 won (20.3 against 22.4 ms), and from
+# about 32768 on the overlap saves 17-23%.
 _OVERLAP_WORK = 16384
 
 # rows x count^2 from which `eigh_tridiagonal` computes its eigenvectors one
-# eigenvalue cluster at a time.  Measured in-process on a 2-CPU host,
-# eigenvalues plus vectors of the capped c = 0.8, mu = 2, eps = 0.05 mode,
-# one stein call against clusters: 2048 x 80 0.064 s against 0.121 s,
+# eigenvalue cluster at a time, and `solve_mode` splits its fine index range
+# between two processes (`_split_at`).  Measured in-process on a 2-CPU
+# host, eigenvalues plus vectors of the capped c = 0.8, mu = 2, eps = 0.05
+# mode, one stein call against clusters: 2048 x 80 0.064 s against 0.121 s,
 # 4096 x 64 0.099 against 0.118, 16384 x 100 0.576 against 0.523; criterion
 # 6's 16384 x 200 solves save a fifth of their time and one eigenvector
-# array.  Below the rule stay the solves of the heat probes, which run in
-# forked workers, where threaded BLAS products stall against the other
-# worker.
+# array.  Below the rule stay the solves of the heat probes.
 _CLUSTER_WORK = 2 ** 24
 # rows of an eigenvector block multiplied by R^(-1) at once
 _QR_CHUNK = 2048
@@ -62,6 +66,50 @@ _QR_CHUNK = 2048
 # true in every process that `_run_jobs` or `_beside` forks, and set once
 # there: those already hold their share of the CPUs, so they fork no further
 _in_child = False
+
+
+@lru_cache(maxsize=None)
+def _openblas() -> Tuple[Tuple[ctypes.CDLL, str], ...]:
+    """The OpenBLAS builds that scipy and numpy bundle, each with its own
+    thread count, and the name pattern of their thread-count functions."""
+    found = []
+    for module, pattern, name in (
+            (scipy, "libscipy_openblas-*.so", "scipy_openblas_%s_num_threads"),
+            (np, "libscipy_openblas64_-*.so",
+             "scipy_openblas_%s_num_threads64_")):
+        libs = os.path.join(module.__path__[0], os.pardir,
+                            module.__name__ + ".libs", pattern)
+        for lib in map(ctypes.CDLL, glob.glob(libs)):
+            if hasattr(lib, name % "set"):
+                getattr(lib, name % "set").argtypes = [ctypes.c_int]
+                getattr(lib, name % "get").restype = ctypes.c_int
+                found.append((lib, name))
+    return tuple(found)
+
+
+def _blas_threads(counts: Sequence[int]) -> List[int]:
+    """Gives each library of `_openblas` its entry of `counts` threads in
+    this process, and returns the counts it had.  A library that has its
+    count already is left alone: a set call starts the thread pool that a
+    fork stopped, and new pool threads spin for a while."""
+    had = [getattr(lib, name % "get")() for lib, name in _openblas()]
+    for (lib, name), count, old in zip(_openblas(), counts, had):
+        if count != old:
+            getattr(lib, name % "set")(count)
+    return had
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Runs the block, and every process forked in it, with BLAS on one
+    thread.  Threaded OpenBLAS in two processes oversubscribes the CPUs,
+    and a thread count changes the summation order of long level-1 loops;
+    a forked process inherits the count without starting a thread pool."""
+    had = _blas_threads((1, 1))
+    try:
+        yield
+    finally:
+        _blas_threads(had)
 
 
 def _enter_child() -> None:
@@ -96,26 +144,24 @@ def _run_jobs(fn: Callable, jobs: list) -> Iterator[Iterator]:
     are cancelled and every worker is joined.  Workers are forked: a
     spawned worker would import numpy and scipy again, which costs more
     than most mode solves.  `fn` and everything in a job is pickled, so
-    `fn` must be a module-level name.  Jobs must not run threaded BLAS at
-    sizes where OpenBLAS starts its threads (such as the products of the
-    cluster path in `eigh_tridiagonal`): a worker's BLAS threads stall
-    against the other worker, and stein calls with long level-1 loops took
-    33 s on the pool against 0.6 s in one process.
+    `fn` must be a module-level name.  BLAS runs on one thread in the
+    workers and, while they run, here (`_one_blas_thread`).
     """
-    pool = None
-    if len(jobs) > 1 and _may_fork():
-        # imported here: only the mode solves start processes, and every
-        # process that loads this module would otherwise carry these too
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    if not (len(jobs) > 1 and _may_fork()):
+        yield map(fn, jobs)
+        return
+    # imported here: only the mode solves start processes, and every
+    # process that loads this module would otherwise carry these too
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with _one_blas_thread():
         pool = ProcessPoolExecutor(
             min(_usable_cpus(), len(jobs)),
             mp_context=multiprocessing.get_context("fork"),
             initializer=_enter_child)
-    try:
-        yield (map if pool is None else pool.map)(fn, jobs)
-    finally:
-        if pool is not None:
+        try:
+            yield pool.map(fn, jobs)
+        finally:
             pool.shutdown(wait=True, cancel_futures=True)
 
 
@@ -141,6 +187,7 @@ def _beside(fork: bool, fn: Callable, *args) -> Iterator[Callable]:
     after the caller's own solve.  The result comes back through a one-way
     pipe and is received before the child is joined; a child that has not
     sent when the block ends (the caller raised) is terminated and joined.
+    BLAS runs on one thread in both processes (`_one_blas_thread`).
     Otherwise result() calls fn in this process.
     """
     if not (fork and _may_fork()):
@@ -149,7 +196,7 @@ def _beside(fork: bool, fn: Callable, *args) -> Iterator[Callable]:
     import multiprocessing
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
-    with receiver:
+    with _one_blas_thread(), receiver:
         with sender:
             child = ctx.Process(target=_send_result, args=(sender, fn, args))
             child.start()
@@ -293,29 +340,21 @@ def _discretize(op: RadialOperator, grid: SLGrid) -> _Discretization:
                            off * d[:-1] * d[1:])
 
 
-def eigh_tridiagonal(d, e, eigvals_only=False, select="a", select_range=None,
-                     out=None):
-    """scipy.linalg.eigh_tridiagonal, with the eigenvalues bit for bit.
+def _cluster_starts(d, e, w) -> np.ndarray:
+    """The first index of each cluster of `w`, then len(w): a new cluster
+    wherever consecutive eigenvalues lie more than sqrt(eps) ||T||_1 apart."""
+    norm = np.abs(d) + np.r_[np.abs(e), 0.0] + np.r_[0.0, np.abs(e)]
+    gap = math.sqrt(np.finfo(float).eps) * float(np.max(norm))
+    return np.r_[0, np.flatnonzero(np.diff(w) > gap) + 1, len(w)]
 
-    With `select="i"` and vectors, the eigenvalues come from one LAPACK
-    stebz call; `out`, if given, receives the eigenvectors (rows x count)
-    and is returned in place of a new array.  Below rows x count^2 =
-    `_CLUSTER_WORK` the vectors come from one LAPACK stein call, as scipy's
-    do, but without scipy's copy when stebz already returns ascending
-    eigenvalues (the freed copy made peak memory vary by one whole matrix
-    between runs).  From there on stein would take every pair for one
-    cluster (its rule is 1e-3 ||T||_1) and orthogonalise each vector
-    against all earlier ones, at a cost growing as count^2; instead stein
-    runs once per cluster of eigenvalues no more than sqrt(eps) ||T||_1
-    apart, writing straight into `out`, and one Cholesky-QR pass
-    (`_orthonormalize`) restores orthonormality across clusters.  Those
-    vectors agree with LAPACK's to about 1e-11 up to sign (spectral
-    projectors, within a cluster); each stein call seeds itself, so the
-    bits do not depend on the call's neighbours.
+
+def _pairs(d, e, lo: int, hi: int, out, clusters: bool = True) -> np.ndarray:
+    """Eigenvalues lo..hi-1 of the tridiagonal (d, e), ascending, from one
+    LAPACK stebz call; with `out` (rows x (hi - lo)), their eigenvectors go
+    into its columns from one LAPACK stein call per cluster, or for all
+    with `clusters=False`.  Each stein call seeds itself, so the bits do
+    not depend on the call's neighbours.
     """
-    if eigvals_only or select != "i":
-        return linalg.eigh_tridiagonal(d, e, eigvals_only=eigvals_only,
-                                       select=select, select_range=select_range)
     stebz, stein = linalg.get_lapack_funcs(("stebz", "stein"), (d, e))
 
     def checked(info):
@@ -323,51 +362,65 @@ def eigh_tridiagonal(d, e, eigvals_only=False, select="a", select_range=None,
             raise linalg.LinAlgError(f"eigh_tridiagonal: LAPACK info {info}")
 
     # range 2: by 1-based index; order "B": grouped by diagonal block
-    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, select_range[0] + 1,
-                                       select_range[1] + 1, 0.0, "B")
+    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, lo + 1, hi, 0.0, "B")
     checked(info)
     w = w[:m]
     order = np.argsort(w)
-    if len(d) * m * m < _CLUSTER_WORK:
-        vec, info = stein(d, e, w, iblock, isplit)
-        checked(info)
-        if np.any(order != np.arange(m)):
-            vec = vec[:, order]
-        if out is None:
-            return w[order], vec
-        out[...] = vec
-        return w[order], out
+    if out is not None:
+        # column j of stebz's order is column place[j] of the ascending one
+        place = np.argsort(order)
+        starts = _cluster_starts(d, e, w) if clusters else (0, m)
+        # stein reads the first (cluster size) entries of a length-rows iblock
+        ib = np.zeros_like(iblock)
+        for a, b in zip(starts[:-1], starts[1:]):
+            ib[:b - a] = iblock[a:b]
+            vec, info = stein(d, e, w[a:b], ib, isplit)
+            checked(info)
+            out[:, place[a:b]] = vec
+    return w[order]
+
+
+def eigh_tridiagonal(d, e, eigvals_only=False, select="a", select_range=None,
+                     out=None):
+    """scipy.linalg.eigh_tridiagonal, with the eigenvalues bit for bit.
+
+    With `select="i"` and vectors, the eigenvalues come from one LAPACK
+    stebz call; `out`, if given, receives the eigenvectors (rows x count)
+    and is returned in place of a new array.  Below rows x count^2 =
+    `_CLUSTER_WORK` the vectors come from one LAPACK stein call, as
+    scipy's do.  From there on stein would take every pair for one cluster
+    (its rule is 1e-3 ||T||_1) and orthogonalise each vector against all
+    earlier ones, at a cost growing as count^2; instead stein runs once per
+    cluster of eigenvalues (`_pairs`), writing straight into `out`, and one
+    Cholesky-QR pass (`_orthonormalize`) restores orthonormality across
+    clusters.  Those vectors agree with LAPACK's to about 1e-11 up to sign
+    (spectral projectors, within a cluster).
+    """
+    if eigvals_only or select != "i":
+        return linalg.eigh_tridiagonal(d, e, eigvals_only=eigvals_only,
+                                       select=select, select_range=select_range)
+    lo, hi = select_range[0], select_range[1] + 1
+    clusters = len(d) * (hi - lo) ** 2 >= _CLUSTER_WORK
     if out is None:
-        out = np.empty((len(d), m))
-    # column j of stebz's order is column place[j] of the ascending result
-    place = np.empty(m, dtype=np.intp)
-    place[order] = np.arange(m)
-    norm = np.abs(d)
-    norm[:-1] += np.abs(e)
-    norm[1:] += np.abs(e)
-    gap = math.sqrt(np.finfo(float).eps) * float(np.max(norm))
-    starts = np.r_[0, np.flatnonzero(np.diff(w) > gap) + 1, m]
-    # stein reads the first (cluster size) entries of a length-rows iblock
-    ib = np.zeros_like(iblock)
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        ib[:hi - lo] = iblock[lo:hi]
-        vec, info = stein(d, e, w[lo:hi], ib, isplit)
-        checked(info)
-        out[:, place[lo:hi]] = vec
-    _orthonormalize(out)
-    return w[order], out
+        out = np.empty((len(d), hi - lo))
+    w = _pairs(d, e, lo, hi, out, clusters)
+    if clusters:
+        _orthonormalize(out)
+    return w, out
 
 
 def _orthonormalize(q: np.ndarray) -> None:
     """q <- q R^(-1) in place, with R^T R = q^T q (one Cholesky-QR pass).
 
     R^(-1) is applied `_QR_CHUNK` rows at a time, so no temporary of the
-    size of q exists.
+    size of q exists.  BLAS runs on one thread: on a 2-CPU host criterion
+    6's 16385 x 200 pass took 0.045 s, against 0.17-0.22 s on two.
     """
-    r = linalg.cholesky(q.T @ q)
-    r_inv = linalg.solve_triangular(r, np.eye(len(r)))
-    for i in range(0, len(q), _QR_CHUNK):
-        q[i:i + _QR_CHUNK] = q[i:i + _QR_CHUNK] @ r_inv
+    with _one_blas_thread():
+        r = linalg.cholesky(q.T @ q)
+        r_inv = linalg.solve_triangular(r, np.eye(len(r)))
+        for i in range(0, len(q), _QR_CHUNK):
+            q[i:i + _QR_CHUNK] = q[i:i + _QR_CHUNK] @ r_inv
 
 
 def _count_below(disc: _Discretization, lam_top: float) -> int:
@@ -389,6 +442,22 @@ def _eigenvalues(disc: _Discretization, count: int) -> np.ndarray:
                             select_range=(0, count - 1))
 
 
+def _split_at(rows: int, count: int) -> int:
+    """Where `solve_mode` splits the fine grid's index range: from the
+    cluster rule on, its child solves indices k0..count-1 after the coarse
+    pass, which costs about half a fine stebz call over all count indices,
+    so k0 = 2 count / 3 gives both processes the same work; count below."""
+    return 2 * count // 3 if rows * count ** 2 >= _CLUSTER_WORK else count
+
+
+def _coarse_and_upper(coarse: _Discretization, fine: _Discretization,
+                      count: int, k0: int, out):
+    """The share of `solve_mode` that may run beside it: the coarse
+    eigenvalues and, if k0 < count, the fine grid's pairs k0..count-1."""
+    return (_eigenvalues(coarse, count),
+            _pairs(fine.bd, fine.bo, k0, count, out) if k0 < count else None)
+
+
 def solve_mode(op: RadialOperator, grid: SLGrid, count: Optional[int] = None,
                *, lam_top: Optional[float] = None,
                vectors: bool = True) -> ModeSolution:
@@ -402,17 +471,24 @@ def solve_mode(op: RadialOperator, grid: SLGrid, count: Optional[int] = None,
     call fails unless the last extrapolated eigenvalue reaches `lam_top`.
     With `vectors=False` no eigenvector is computed and `u` has no columns;
     the eigenvalues are the same to the bit.  The fine grid's eigenvectors
-    are written straight into the rows of `u` that hold the unknowns (see
-    `eigh_tridiagonal`): from fine rows x count^2 = `_CLUSTER_WORK` on they
-    are computed one eigenvalue cluster at a time (a new cluster wherever
-    consecutive eigenvalues lie more than sqrt(eps) ||T||_1 apart) and
-    orthonormalised by one Cholesky-QR pass; they agree with LAPACK's
-    single stein call to about 1e-11, and the eigenvalues are bit-equal.
-    Below that size they are LAPACK's, bit for bit.
+    are written straight into the rows of `u` that hold the unknowns.
+    Below fine rows x count^2 = `_CLUSTER_WORK` the fine grid is one
+    `eigh_tridiagonal` call, and its pairs are LAPACK's, bit for bit.  From
+    there on the index range splits at k0 = 2 count / 3 (`_split_at`),
+    with one stebz call per part, so the fine eigenvalues are scipy's for
+    the two parts, concatenated.  Each part's eigenvectors are computed one
+    eigenvalue cluster at a time (a new cluster wherever consecutive
+    eigenvalues lie more than sqrt(eps) ||T||_1 apart); the one cluster
+    that straddles k0, if any, is computed again from one stebz and one
+    stein call, and one Cholesky-QR pass orthonormalises all columns.  They
+    agree with LAPACK's single stein call to about 1e-9 (spectral
+    projectors, within a cluster).
 
-    From count x N = `_OVERLAP_WORK` on, the coarse-grid eigenvalues are
-    computed in a forked child while this process solves the fine grid
-    (see `_beside`); the results are the serial ones to the bit.
+    From count x N = `_OVERLAP_WORK` on, a forked child computes the
+    coarse-grid eigenvalues, and the upper part of a split index range,
+    while this process solves the rest (see `_beside`); the child writes
+    its eigenvectors into `u` through a shared mapping, and the results
+    are the serial ones to the bit.
     """
     if (count is None) == (lam_top is None):
         raise ValueError("give exactly one of count and lam_top")
@@ -424,24 +500,41 @@ def solve_mode(op: RadialOperator, grid: SLGrid, count: Optional[int] = None,
 
     fine = _discretize(op, grid.refined())
     xs2 = fine.xs
-    with _beside(count * grid.n >= _OVERLAP_WORK, _eigenvalues, coarse,
-                 count) as coarse_lam:
-        if vectors:
-            u2 = np.zeros((len(xs2), count))
-            # the unknowns are contiguous rows of u2; their view receives
-            # the eigenvectors and is scaled in place, so no second
-            # eigenvector-sized array exists on the cluster path
-            vec = u2[fine.idx[0]:fine.idx[-1] + 1]
+    k0 = _split_at(len(fine.bd), count)
+    if vectors and k0 < count:
+        # shared with the child, which writes the upper part's columns
+        u2 = np.ndarray((len(xs2), count),
+                        buffer=mmap.mmap(-1, 8 * len(xs2) * count))
+    else:
+        u2 = np.zeros((len(xs2), count if vectors else 0))
+    # the unknowns are contiguous rows of u2; their view receives the
+    # eigenvectors and is scaled in place, so no second eigenvector-sized
+    # array exists on the cluster path
+    vec = u2[fine.idx[0]:fine.idx[-1] + 1] if vectors else None
+    parts = (vec[:, :k0], vec[:, k0:]) if vectors else (None, None)
+    with _beside(count * grid.n >= _OVERLAP_WORK, _coarse_and_upper, coarse,
+                 fine, count, k0, parts[1]) as beside:
+        if k0 < count:
+            lower = _pairs(fine.bd, fine.bo, 0, k0, parts[0])
+        elif vectors:
             lam2, _ = eigh_tridiagonal(fine.bd, fine.bo, select="i",
                                        select_range=(0, count - 1), out=vec)
-            vec *= (1.0 / np.sqrt(fine.mass))[:, None]
-            g_ = op.gamma
-            if g_ != 0.0:
-                u2 *= xs2[:, None] ** g_
         else:
             lam2 = _eigenvalues(fine, count)
-            u2 = np.zeros((len(xs2), 0))
-        lam1 = coarse_lam()
+        lam1, upper = beside()
+        if k0 < count:
+            lam2 = np.r_[lower, upper]
+        if vectors and k0 < count:
+            # the cluster that straddles k0, if any, again in one piece
+            starts = _cluster_starts(fine.bd, fine.bo, lam2)
+            if k0 not in starts:
+                a, b = starts[starts < k0][-1], starts[starts > k0][0]
+                _pairs(fine.bd, fine.bo, a, b, vec[:, a:b])
+            _orthonormalize(vec)
+        if vectors:
+            vec *= (1.0 / np.sqrt(fine.mass))[:, None]
+            if op.gamma != 0.0:
+                u2 *= xs2[:, None] ** op.gamma
     # quadrature weights of the ORIGINAL w-inner product on all nodes:
     # mass entries are for the substituted weight w~ = w x^(2 gamma),
     # so int f g w dx ~= sum (f/x^g)(g/x^g) mass

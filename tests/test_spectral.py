@@ -184,7 +184,12 @@ def test_cluster_path_eigenpairs_match_lapack(request, case):
     assert len(disc.bd) * count ** 2 >= spectral._CLUSTER_WORK
     lam, ref = scipy.linalg.eigh_tridiagonal(disc.bd, disc.bo, select="i",
                                              select_range=(0, count - 1))
-    assert np.array_equal(lam, sol.lam_raw)
+    # one stebz call per index part of `solve_mode`'s split
+    k0 = spectral._split_at(len(disc.bd), count)
+    assert np.array_equal(np.r_[tuple(scipy.linalg.eigh_tridiagonal(
+        disc.bd, disc.bo, eigvals_only=True, select="i",
+        select_range=half) for half in ((0, k0 - 1), (k0, count - 1)))],
+        sol.lam_raw)
     norm = np.abs(disc.bd)
     norm[:-1] += np.abs(disc.bo)
     norm[1:] += np.abs(disc.bo)
@@ -838,6 +843,112 @@ def test_no_overlap_inside_a_runner_worker(cpus, pools):
     with spectral._run_jobs(_forks_in_worker, jobs) as results:
         assert list(results) == [0, 0]
     assert pools == [2]
+    assert multiprocessing.active_children() == []
+
+
+# 50 pairs on the neck's 8192 cells split at k0 = 33, inside the pair of
+# equal eigenvalues (32, 33)
+_SPLIT = (_NECK_OP, SLGrid(4096), 50)
+
+
+def test_split_solve_matches_the_serial_path_and_lapack(cpus, forks):
+    disc = spectral._discretize(_NECK_OP, SLGrid(8192))
+    lam, ref = scipy.linalg.eigh_tridiagonal(disc.bd, disc.bo, select="i",
+                                             select_range=(0, 49))
+    starts = spectral._cluster_starts(disc.bd, disc.bo, lam)
+    assert spectral._split_at(len(disc.bd), 50) == 33
+    assert 32 in starts and 33 not in starts and 34 in starts
+    cpus(2)
+    split = solve_mode(*_SPLIT)
+    assert forks == [1]
+    assert multiprocessing.active_children() == []
+    cpus(1)
+    serial = solve_mode(*_SPLIT)
+    assert forks == [1]
+    for field in ("lam", "lam_err", "lam_raw", "u", "mass"):
+        assert np.array_equal(getattr(split, field), getattr(serial, field))
+    cpus(2)
+    assert np.array_equal(solve_mode(*_SPLIT, vectors=False).lam_raw,
+                          split.lam_raw)
+    _, vec = _unit_vectors(split)
+    assert np.max(np.abs(vec.T @ vec - np.eye(50))) < 1e-13
+    # spectral projectors, which a sign or a basis inside a cluster leaves
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        ours, theirs = vec[:, lo:hi], ref[:, lo:hi]
+        assert np.max(np.abs(ours - theirs @ (theirs.T @ ours))) < 1e-9
+
+
+def _twin_blocks(op, grid):
+    """A stand-in for `spectral._discretize`: two equal second-difference
+    blocks joined by a coupling far below the bisection tolerance, so the
+    eigenvalues come in pairs that separate stebz calls return equal to the
+    last bit, and separate stein calls would return one vector twice."""
+    rows = grid.n
+    bd = np.full(rows, 2.0)
+    bo = np.full(rows - 1, -1.0)
+    bo[rows // 2 - 1] = -1e-15
+    return spectral._Discretization(np.linspace(0.0, 1.0, rows + 2),
+                                    np.arange(1, rows + 1), bd, bo,
+                                    np.ones(rows), bd, bo)
+
+
+def test_split_solve_solves_the_straddling_cluster_again(monkeypatch, cpus):
+    monkeypatch.setattr(spectral, "_discretize", _twin_blocks)
+    disc = _twin_blocks(None, SLGrid(8192))
+    lam, ref = scipy.linalg.eigh_tridiagonal(disc.bd, disc.bo, select="i",
+                                             select_range=(0, 49))
+    starts = spectral._cluster_starts(disc.bd, disc.bo, lam)
+    assert 32 in starts and 33 not in starts and 34 in starts
+    cpus(2)
+    vec = solve_mode(_NECK_OP, SLGrid(4096), 50).u[disc.idx]
+    assert np.max(np.abs(vec.T @ vec - np.eye(50))) < 1e-13
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        ours, theirs = vec[:, lo:hi], ref[:, lo:hi]
+        assert np.max(np.abs(ours - theirs @ (theirs.T @ ours))) < 1e-9
+
+
+@pytest.mark.parametrize("half", ["lower", "upper"])
+def test_split_solve_reraises_a_half_error(monkeypatch, cpus, forks, half):
+    # the lower part runs here and the upper part in the child; a failing
+    # lower part must stop the child, which would take a minute, not wait
+    cpus(2)
+    pairs = spectral._pairs
+
+    def one_half_fails(d, e, lo, hi, out, clusters=True):
+        if (lo == 0) == (half == "lower"):
+            raise scipy.linalg.LinAlgError(f"{half} half failed")
+        if half == "lower":
+            time.sleep(60)
+        return pairs(d, e, lo, hi, out, clusters)
+
+    monkeypatch.setattr(spectral, "_pairs", one_half_fails)
+    start = time.monotonic()
+    with pytest.raises(scipy.linalg.LinAlgError, match=f"{half} half failed"):
+        solve_mode(*_SPLIT)
+    assert time.monotonic() - start < 30
+    assert forks == [1]
+    assert multiprocessing.active_children() == []
+
+
+def _blas_thread_counts(job):
+    """A runner job: the thread count of each OpenBLAS that scipy and numpy
+    bundle, in the process that runs it."""
+    return [getattr(lib, name % "get")() for lib, name in spectral._openblas()]
+
+
+def test_forked_processes_run_blas_on_one_thread(cpus, pools):
+    if not spectral._openblas():
+        pytest.skip("no bundled OpenBLAS with a thread-count setter")
+    ones = [1] * len(spectral._openblas())
+    here = _blas_thread_counts(None)
+    cpus(2)
+    with spectral._run_jobs(_blas_thread_counts, [0, 1]) as results:
+        assert list(results) == [ones, ones]
+    assert pools == [2]
+    with spectral._beside(True, _blas_thread_counts, None) as result:
+        assert result() == ones
+    spectral._orthonormalize(np.eye(4))
+    assert _blas_thread_counts(None) == here
     assert multiprocessing.active_children() == []
 
 
